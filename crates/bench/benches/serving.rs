@@ -10,7 +10,6 @@
 //! in flight so every configuration is measured under saturation.
 
 use std::sync::Arc;
-use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
@@ -58,7 +57,6 @@ fn bench_serving_batch_sizes(c: &mut Criterion) {
             Arc::new(ShardedRegistry::with_model(model.clone(), "bench").expect("publishable"));
         let config = ServeConfig {
             max_batch,
-            max_delay: Duration::from_micros(200),
             queue_depth: 4_096,
             ..ServeConfig::default()
         };
@@ -123,7 +121,6 @@ fn bench_multi_tenant_serving(c: &mut Criterion) {
         }
         let config = ServeConfig {
             max_batch: 64,
-            max_delay: Duration::from_micros(200),
             queue_depth: 4_096,
             ..ServeConfig::default()
         };

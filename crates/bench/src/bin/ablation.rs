@@ -1,4 +1,4 @@
-//! Ablation studies for the design choices DESIGN.md §7 calls out.
+//! Ablation studies for the design choices docs/DESIGN.md §7 calls out.
 //!
 //! 1. **Classes full-precision vs classes quantized** — the Fig. 5(a)
 //!    93.1%-vs-88.1% argument against prior work \[17\], plus the fully

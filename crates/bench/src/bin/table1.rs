@@ -3,7 +3,7 @@
 //!
 //! Uses the analytic platform models of `privehd-hw` (documented
 //! estimates of each platform's effective op rate and power — see
-//! DESIGN.md §4); the reproduced quantity is the *shape*: the FPGA wins
+//! docs/DESIGN.md §4); the reproduced quantity is the *shape*: the FPGA wins
 //! throughput by ~10⁵× over the Pi and ~16× over the GPU, and energy by
 //! ~5×10⁴× and ~300×.
 

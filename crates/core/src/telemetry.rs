@@ -55,11 +55,12 @@ pub enum Stage {
     /// Server-side encode ∘ obfuscate of a raw-features payload (only
     /// on the raw path; packed queries were encoded on the device).
     Encode,
-    /// Waiting in the bounded submission queue until the batcher routed
-    /// the request into its model's open batch.
+    /// Waiting in the model's bounded submission queue until a worker
+    /// dequeued the request into a batch.
     QueueWait,
-    /// Waiting in an open batch for the flush (batch-full or
-    /// `max_delay`) plus worker pickup.
+    /// From the worker's dequeue to the start of this request's
+    /// scoring: the wait behind earlier requests of the same batch
+    /// (plus, for the first, the batch's snapshot resolve).
     BatchWait,
     /// Resolving the batch's model snapshot from the registry (once per
     /// batch).

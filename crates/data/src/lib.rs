@@ -12,7 +12,7 @@
 //! Prive-HD claim concerns the encoding pipeline — reversibility,
 //! sensitivity, quantization noise — not dataset semantics, so matching
 //! shape and separability preserves the relevant behaviour (see
-//! DESIGN.md §4).
+//! docs/DESIGN.md §4).
 //!
 //! * [`synthetic`] — Gaussian class-cluster generator with controllable
 //!   prototype separation and sample noise.

@@ -29,7 +29,7 @@
 //! the circuits *functionally* (bit-exact against the software encoder)
 //! and [`perf`] models throughput/energy of the paper's three platforms
 //! (Kintex-7 FPGA, Raspberry Pi 3, GTX 1080 Ti) to regenerate Table I's
-//! shape. See DESIGN.md §4 for the substitution rationale.
+//! shape. See docs/DESIGN.md §4 for the substitution rationale.
 
 // No unsafe: every unsafe site in the workspace lives in privehd-core
 // under the analyze unsafe-audit ledger (see docs/ANALYSIS.md).

@@ -1,17 +1,14 @@
-//! The serving engine: per-tenant admission queues, a deficit-round-
-//! robin scheduler feeding an adaptive per-model micro-batcher, and a
-//! worker pool.
+//! The serving engine: per-tenant admission queues drained by worker
+//! threads that pull per-model batches straight from them.
 //!
 //! ```text
 //!  clients ──submit──▶ [per-ModelId queue] [per-ModelId queue] …
 //!            (ModelId,       │ quota-bounded     │
 //!             query)         ▼                   ▼
-//!                      deficit-round-robin scheduler thread
-//!                        │  per-model batches, flush on max_batch
-//!                        │  or max_delay per key
-//!                        ▼
-//!                   [batch channel]   (one ModelId per batch)
-//!                     │    │    │   worker pool (shared receiver)
+//!                  an idle worker wakes and takes one deficit-round-
+//!                  robin turn: ≤ min(drr_quantum, max_batch) requests
+//!                  of one model (backlog left → wake a sibling)
+//!                     │    │    │   worker threads
 //!                     ▼    ▼    ▼
 //!                   predict over the batch's model snapshot
 //!                     │
@@ -28,36 +25,37 @@
 //! [`ServeConfig::queue_depth`] — so one tenant's flood sheds *that
 //! tenant's* load while everyone else keeps being admitted.
 //!
-//! The scheduler drains the queues with deficit round-robin: each
-//! tenant with waiting requests sits in an active ring, and each turn
-//! grants it [`ServeConfig::drr_quantum`] units of credit, serving at
-//! most that many requests before the next tenant's turn. A flooding
-//! tenant therefore gets at most a quantum ahead of a victim per round
+//! Workers drain the queues with deficit round-robin: each tenant with
+//! waiting requests sits in an active ring, and each turn grants it
+//! [`ServeConfig::drr_quantum`] units of credit, serving at most that
+//! many requests before the next tenant's turn. A flooding tenant
+//! therefore gets at most a quantum ahead of a victim per round
 //! regardless of how deep its backlog is.
 //!
 //! ## Batching
 //!
-//! Batching is *adaptive*: requests already queued accumulate into
-//! batches with zero added latency (so a saturated queue forms full
-//! batches), and a partially filled batch waits at most
-//! [`ServeConfig::max_delay`], anchored at its first request.
-//! Accumulation is keyed per [`ModelId`]: each model gets its own delay
-//! window and its own `max_batch` cutoff, and every dispatched batch
-//! holds requests for exactly one model, resolved against one registry
-//! snapshot at dispatch time. A hot swap ([`ShardedRegistry::publish`])
-//! never drops or corrupts in-flight requests — they complete on the
-//! version that was live when their batch started.
+//! Batching is *work-conserving*: no request waits for company. A
+//! worker takes its turn the moment it is idle and a request is queued,
+//! so a lone request on an idle engine rides in a batch of one. Batches
+//! form only from real backlog — requests that arrived while every
+//! worker was busy — and hold at most
+//! `min(`[`ServeConfig::drr_quantum`]`, `[`ServeConfig::max_batch`]`)`
+//! requests. Every batch holds requests for exactly one model, resolved
+//! against one registry snapshot when the worker starts it. A hot swap
+//! ([`ShardedRegistry::publish`]) never drops or corrupts in-flight
+//! requests — they complete on the version that was live when their
+//! batch started.
 //!
 //! ## Shutdown contract
 //!
 //! [`ServeEngine::shutdown`] (and `Drop`) first marks the engine
 //! closed — subsequent [`SubmitHandle::submit`] calls return
-//! [`ServeError::Closed`] — then wakes the scheduler, which drains
-//! every queued request through the batcher and exits; workers finish
-//! the remaining batches and exit. Shutdown therefore completes even
-//! while clones of [`SubmitHandle`] are still alive on other threads.
-//! A request that loses the race with shutdown is answered with
-//! [`ServeError::Closed`] through its [`PendingPrediction`].
+//! [`ServeError::Closed`] — then wakes every worker. Workers keep
+//! taking turns until every queued request is served, then exit.
+//! Shutdown therefore completes even while clones of [`SubmitHandle`]
+//! are still alive on other threads. A request that loses the race
+//! with shutdown is answered with [`ServeError::Closed`] through its
+//! [`PendingPrediction`].
 
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
@@ -73,7 +71,6 @@ use privehd_core::{BipolarHv, Hypervector, Prediction};
 use crate::error::ServeError;
 use crate::metrics::{ServeMetrics, ServeReport};
 use crate::registry::{ModelId, ServedModel, ShardedRegistry};
-use crate::router::BatchRouter;
 
 /// Tuning knobs of the serving engine.
 ///
@@ -81,13 +78,9 @@ use crate::router::BatchRouter;
 /// or with [`ServeConfig::builder`] for build-time validation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServeConfig {
-    /// Largest batch dispatched to a worker; reaching it flushes that
-    /// model's batch immediately.
+    /// Largest batch a worker takes in one turn: a turn dequeues at
+    /// most `min(max_batch, drr_quantum)` requests of one model.
     pub max_batch: usize,
-    /// Longest a queued request waits for co-batched company (of its
-    /// own model) before the batcher flushes anyway, anchored at the
-    /// batch's first request.
-    pub max_delay: Duration,
     /// Worker threads executing batches.
     pub workers: usize,
     /// Engine-wide cap on waiting requests across every tenant; at the
@@ -100,7 +93,7 @@ pub struct ServeConfig {
     /// front-end reports it as `Busy`.
     pub tenant_quota: usize,
     /// Deficit-round-robin quantum: how many requests one tenant may
-    /// dequeue per scheduler turn before the next tenant's turn.
+    /// dequeue per worker turn before the next tenant's turn.
     /// Smaller values interleave tenants more finely (fairer under
     /// flood), larger values favor per-tenant batch density.
     pub drr_quantum: usize,
@@ -124,7 +117,6 @@ impl Default for ServeConfig {
     fn default() -> Self {
         Self {
             max_batch: 64,
-            max_delay: Duration::from_micros(500),
             workers: std::thread::available_parallelism()
                 .map(|n| n.get())
                 .unwrap_or(4),
@@ -201,12 +193,6 @@ impl ServeConfigBuilder {
         self
     }
 
-    /// Sets [`ServeConfig::max_delay`].
-    pub fn max_delay(mut self, v: Duration) -> Self {
-        self.config.max_delay = v;
-        self
-    }
-
     /// Sets [`ServeConfig::workers`].
     pub fn workers(mut self, v: usize) -> Self {
         self.config.workers = v;
@@ -257,8 +243,8 @@ impl ServeConfigBuilder {
 /// A query in whichever representation the client submitted: dense
 /// `f64`-per-dimension, or bit-packed bipolar (1 bit/dim).
 ///
-/// The packed variant flows through the queue, the scheduler and the
-/// workers as-is and is scored by the compiled plan's popcount kernel
+/// The packed variant flows through the queue and the workers as-is
+/// and is scored by the compiled plan's popcount kernel
 /// ([`privehd_core::ModelPlan::predict_packed`]) — never densified. That
 /// is the packed-native serving contract: a 10k-dim packed query costs
 /// ~1.25 KiB on the queue instead of ~78 KiB dense, and classification
@@ -334,23 +320,19 @@ impl ReplySlot {
     }
 }
 
-/// One queued request: the target model, the query, and its reply slot.
+/// One queued request: the query and its reply slot (the tenant queue
+/// holding it names its model).
 struct Request {
-    model: ModelId,
     query: QueryVec,
     trace: TraceCtx,
     submitted_at: Instant,
-    /// Stamped by the scheduler the moment it routes the request into
-    /// its model's open batch; `submitted_at..routed_at` is the
-    /// queue-wait stage, `routed_at..execution` the batch-window wait.
-    routed_at: Option<Instant>,
+    /// Stamped by the worker that takes the request off its tenant
+    /// queue: `submitted_at..dequeued_at` is the queue-wait stage, and
+    /// `dequeued_at` until this request's scoring starts is the
+    /// batch-wait stage (the wait behind earlier requests of the same
+    /// batch).
+    dequeued_at: Instant,
     reply: ReplySlot,
-}
-
-/// One dispatched batch: requests for exactly one model.
-struct ModelBatch {
-    model: ModelId,
-    requests: Vec<Request>,
 }
 
 /// One tenant's waiting requests plus its deficit-round-robin state.
@@ -367,8 +349,8 @@ struct TenantQueue {
     in_active: bool,
 }
 
-/// The scheduler's shared state: every tenant's queue plus the active
-/// ring the deficit-round-robin walks.
+/// The workers' shared scheduling state: every tenant's queue plus the
+/// active ring the deficit-round-robin walks.
 #[derive(Default)]
 struct SchedState {
     queues: HashMap<ModelId, TenantQueue>,
@@ -380,7 +362,7 @@ struct SchedState {
 }
 
 /// The submission side's shared handle: per-tenant queues behind one
-/// mutex, a condvar waking the scheduler, and the admission limits.
+/// mutex, a condvar waking idle workers, and the admission limits.
 struct SharedQueue {
     state: Mutex<SchedState>,
     ready: Condvar,
@@ -389,7 +371,7 @@ struct SharedQueue {
 }
 
 impl SharedQueue {
-    /// Locks the scheduler state, recovering from a poisoned mutex: the
+    /// Locks the scheduling state, recovering from a poisoned mutex: the
     /// queue data is a plain container that stays structurally valid
     /// even if a panicking thread held the lock, and refusing service
     /// forever would turn one request's panic into a full outage.
@@ -408,7 +390,7 @@ impl fmt::Debug for SharedQueue {
 }
 
 /// Admission: checks closed/stopped, then the tenant's quota, then the
-/// global depth, and only then enqueues and wakes the scheduler.
+/// global depth, and only then enqueues and wakes an idle worker.
 ///
 /// Quota is checked before depth deliberately: a flooding tenant that
 /// fills the global queue still reads `TenantOverQuota` (back off —
@@ -424,16 +406,16 @@ fn submit_slot(
 ) -> Result<(), ServeError> {
     // Acquire: pairs with the Release store in `join_threads` so a
     // submitter that observes `closed` also observes the stop flag the
-    // scheduler is draining under.
+    // workers are draining under.
     if closed.load(Ordering::Acquire) {
         return Err(ServeError::Closed);
     }
+    let now = Instant::now();
     let request = Request {
-        model: model.clone(),
         query,
         trace,
-        submitted_at: Instant::now(),
-        routed_at: None,
+        submitted_at: now,
+        dequeued_at: now,
         reply,
     };
     let mut st = shared.lock_state();
@@ -475,15 +457,12 @@ fn submit_slot(
 /// ring earns `quantum` credit, dequeues at most that many requests
 /// into `out`, and either rejoins the ring (backlog left) or leaves the
 /// map entirely (emptied — which also resets its deficit, the classic
-/// DRR rule that an idle flow keeps no credit).
-fn drr_round(st: &mut SchedState, quantum: usize, out: &mut Vec<Request>) {
-    let Some(id) = st.active.pop_front() else {
-        return;
-    };
+/// DRR rule that an idle flow keeps no credit). Returns the tenant
+/// served, or `None` when no tenant was waiting.
+fn drr_round(st: &mut SchedState, quantum: usize, out: &mut Vec<Request>) -> Option<ModelId> {
+    let id = st.active.pop_front()?;
     let (take, now_empty) = {
-        let Some(tq) = st.queues.get_mut(&id) else {
-            return;
-        };
+        let tq = st.queues.get_mut(&id)?;
         tq.deficit += quantum;
         let take = tq.deficit.min(tq.items.len());
         for _ in 0..take {
@@ -498,8 +477,9 @@ fn drr_round(st: &mut SchedState, quantum: usize, out: &mut Vec<Request>) {
     if now_empty {
         st.queues.remove(&id);
     } else {
-        st.active.push_back(id);
+        st.active.push_back(id.clone());
     }
+    Some(id)
 }
 
 /// A submitted request's future result.
@@ -702,12 +682,11 @@ pub struct ServeEngine {
     metrics: Arc<ServeMetrics>,
     tracer: Arc<Tracer>,
     started_at: Instant,
-    scheduler: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
 }
 
 impl ServeEngine {
-    /// Spawns the scheduler and worker threads serving every model of
+    /// Spawns the worker threads serving every model of
     /// `registry`. Single-model deployments publish under
     /// [`ModelId::default`] (see [`ShardedRegistry::with_model`]) and
     /// use [`ServeEngine::submit_default`].
@@ -726,26 +705,18 @@ impl ServeEngine {
             queue_depth: config.queue_depth,
             tenant_quota: config.tenant_quota,
         });
-        let (batch_tx, batch_rx) = mpsc::sync_channel::<ModelBatch>(config.workers * 2);
-        let batch_rx = Arc::new(Mutex::new(batch_rx));
-
-        let sched_shared = Arc::clone(&shared);
-        let sched_cfg = config.clone();
-        let scheduler = std::thread::Builder::new()
-            .name("privehd-scheduler".into())
-            .spawn(move || run_scheduler(&sched_shared, &batch_tx, &sched_cfg))
-            .map_err(|e| ServeError::Transport(format!("failed to spawn scheduler thread: {e}")))?;
+        let turn = config.drr_quantum.min(config.max_batch);
 
         let workers = (0..config.workers)
             .map(|i| {
-                let rx = Arc::clone(&batch_rx);
+                let shared = Arc::clone(&shared);
                 let registry = Arc::clone(&registry);
                 let metrics = Arc::clone(&metrics);
                 let tracer = Arc::clone(&tracer);
                 let packed = config.packed_fastpath;
                 std::thread::Builder::new()
                     .name(format!("privehd-worker-{i}"))
-                    .spawn(move || run_worker(&rx, &registry, &metrics, &tracer, packed))
+                    .spawn(move || run_worker(&shared, turn, &registry, &metrics, &tracer, packed))
                     .map_err(|e| {
                         ServeError::Transport(format!("failed to spawn worker thread: {e}"))
                     })
@@ -759,7 +730,6 @@ impl ServeEngine {
             metrics,
             tracer,
             started_at: Instant::now(),
-            scheduler: Some(scheduler),
             workers,
         })
     }
@@ -889,16 +859,10 @@ impl ServeEngine {
             st.stopped = true;
         }
         self.shared.ready.notify_all();
-        if let Some(s) = self.scheduler.take() {
-            // analyze::allow(no-panic-path): re-raising a scheduler
-            // panic at shutdown is deliberate — it fires only on an
-            // internal bug and must not vanish into a clean report.
-            s.join().expect("scheduler thread panicked");
-        }
         for w in self.workers.drain(..) {
-            // analyze::allow(no-panic-path): same policy as the
-            // scheduler join above — propagate internal bugs, never
-            // hide them.
+            // analyze::allow(no-panic-path): re-raising a worker panic
+            // at shutdown is deliberate — it fires only on an internal
+            // bug and must not vanish into a clean report.
             w.join().expect("worker thread panicked");
         }
     }
@@ -910,118 +874,53 @@ impl Drop for ServeEngine {
     }
 }
 
-/// Scheduler loop: wait until requests are queued (or a batch window
-/// expires), take one deficit-round-robin turn, route the taken
-/// requests into per-model batches, and dispatch full or expired
-/// batches to the workers. On stop it drains every queue — requests
-/// accepted before shutdown are answered with real results — then
-/// flushes the open batches and exits (dropping `batch_tx`, which in
-/// turn lets the workers drain and exit).
-fn run_scheduler(shared: &SharedQueue, batch_tx: &SyncSender<ModelBatch>, config: &ServeConfig) {
-    let mut router: BatchRouter<Request> = BatchRouter::new(config.max_batch, config.max_delay);
-    loop {
-        let mut taken: Vec<Request> = Vec::new();
-        let mut stopping = false;
-        {
-            let mut st = shared.lock_state();
-            loop {
-                if st.queued_total > 0 {
-                    break;
-                }
-                if st.stopped {
-                    stopping = true;
-                    break;
-                }
-                match router.next_deadline() {
-                    // Idle: sleep until a submission wakes us.
-                    None => {
-                        st = shared
-                            .ready
-                            .wait(st)
-                            .unwrap_or_else(PoisonError::into_inner);
-                    }
-                    // Batches open: sleep at most until the earliest
-                    // per-model flush deadline.
-                    Some(deadline) => {
-                        let now = Instant::now();
-                        if now >= deadline {
-                            break;
-                        }
-                        let (guard, timeout) = shared
-                            .ready
-                            .wait_timeout(st, deadline - now)
-                            .unwrap_or_else(PoisonError::into_inner);
-                        st = guard;
-                        if timeout.timed_out() {
-                            break;
-                        }
-                    }
-                }
-            }
-            if stopping {
-                // Drain everything still queued in one go; submissions
-                // are already refused (stopped), so this terminates.
-                while st.queued_total > 0 {
-                    drr_round(&mut st, config.drr_quantum, &mut taken);
-                }
-            } else {
-                drr_round(&mut st, config.drr_quantum, &mut taken);
-            }
-        }
-        // Route and dispatch outside the lock: batch_tx.send blocks
-        // when workers fall behind, and submissions must keep being
-        // admitted (or shed) meanwhile.
-        for mut request in taken {
-            let now = Instant::now();
-            // End of the queue-wait stage, start of the batch window.
-            request.routed_at = Some(now);
-            let model = request.model.clone();
-            if let Some((model, requests)) = router.push(model, request, now) {
-                if batch_tx.send(ModelBatch { model, requests }).is_err() {
-                    return; // workers are gone; nothing more to do
-                }
-            }
-        }
-        for (model, requests) in router.take_expired(Instant::now()) {
-            if batch_tx.send(ModelBatch { model, requests }).is_err() {
-                return;
-            }
-        }
-        if stopping {
-            break;
-        }
-    }
-    // Flush every still-open batch before exiting.
-    for (model, requests) in router.drain() {
-        if batch_tx.send(ModelBatch { model, requests }).is_err() {
-            return;
-        }
-    }
-}
-
-/// Worker loop: pull one batch at a time off the shared channel and
-/// execute it against its model's current snapshot.
+/// Worker loop: sleep until a request is queued, take one deficit-
+/// round-robin turn (at most `turn` requests of one model) and serve it
+/// as one batch. Nothing waits for company, so batches form only from
+/// requests that queued up while every worker was busy. On stop the
+/// workers keep taking turns until the queues are empty — requests
+/// accepted before shutdown are answered with real results — and then
+/// exit.
 fn run_worker(
-    batch_rx: &Arc<Mutex<Receiver<ModelBatch>>>,
+    shared: &SharedQueue,
+    turn: usize,
     registry: &ShardedRegistry,
     metrics: &ServeMetrics,
     tracer: &Tracer,
     packed_fastpath: bool,
 ) {
+    let mut batch: Vec<Request> = Vec::new();
     loop {
-        // Hold the lock only while waiting for the next batch; release
-        // it before executing so other workers receive concurrently.
-        let batch = {
-            // analyze::allow(no-panic-path): the lock is poisoned only
-            // if a sibling worker panicked mid-recv; spreading the
-            // panic tears the pool down instead of serving half-alive.
-            let rx = batch_rx.lock().expect("batch receiver lock poisoned");
-            match rx.recv() {
-                Ok(b) => b,
-                Err(_) => return,
+        let model = {
+            let mut st = shared.lock_state();
+            while st.queued_total == 0 {
+                if st.stopped {
+                    return;
+                }
+                st = shared
+                    .ready
+                    .wait(st)
+                    .unwrap_or_else(PoisonError::into_inner);
             }
+            let model = drr_round(&mut st, turn, &mut batch);
+            let backlog = st.queued_total > 0;
+            drop(st);
+            if backlog {
+                // Hand the rest to an idle sibling now rather than when
+                // this batch is done.
+                shared.ready.notify_one();
+            }
+            model
         };
-        execute_batch(batch, registry, metrics, tracer, packed_fastpath);
+        let Some(model) = model else {
+            continue;
+        };
+        let dequeued_at = Instant::now();
+        for request in &mut batch {
+            request.dequeued_at = dequeued_at;
+        }
+        execute_batch(&model, &batch, registry, metrics, tracer, packed_fastpath);
+        batch.clear();
     }
 }
 
@@ -1030,13 +929,13 @@ fn run_worker(
 const POOL_FANOUT_MIN: usize = 16;
 
 fn execute_batch(
-    batch: ModelBatch,
+    model: &ModelId,
+    requests: &[Request],
     registry: &ShardedRegistry,
     metrics: &ServeMetrics,
     tracer: &Tracer,
     packed_fastpath: bool,
 ) {
-    let ModelBatch { model, requests } = batch;
     let size = requests.len();
     metrics.on_batch(size);
     // One snapshot per batch: a concurrent publish (or withdraw) of
@@ -1044,9 +943,9 @@ fn execute_batch(
     // models' batches resolve their own snapshots independently. The
     // per-model metrics row is likewise fetched once per batch.
     let resolve_start = Instant::now();
-    let snapshot: Option<Arc<ServedModel>> = registry.get(&model);
+    let snapshot: Option<Arc<ServedModel>> = registry.get(model);
     let resolve_end = Instant::now();
-    let model_counters = metrics.model_counters(&model);
+    let model_counters = metrics.model_counters(model);
     if let Some(served) = &snapshot {
         // Snapshot footprint gauges: both matrices were built eagerly
         // at publish time (`refresh_norms`), so these accessors only
@@ -1096,15 +995,15 @@ fn execute_batch(
         // mid-request then always observes per-stage counts ≤ the
         // end-to-end count — the invariant the consistency test pins.
         metrics.on_done(&model_counters, outcome.is_ok(), latency);
-        let routed_at = request.routed_at.unwrap_or(work_start);
-        let queue_wait = routed_at.saturating_duration_since(request.submitted_at);
-        let batch_wait = work_start.saturating_duration_since(routed_at);
+        let dequeued_at = request.dequeued_at;
+        let queue_wait = dequeued_at.saturating_duration_since(request.submitted_at);
+        let batch_wait = work_start.saturating_duration_since(dequeued_at);
         metrics.on_stage_for(&model_counters, Stage::QueueWait, queue_wait);
         metrics.on_stage_for(&model_counters, Stage::BatchWait, batch_wait);
         metrics.on_stage_for(&model_counters, Stage::Predict, done_at - predict_start);
         let ctx = request.trace;
-        tracer.record(ctx, Stage::QueueWait, request.submitted_at, routed_at);
-        tracer.record(ctx, Stage::BatchWait, routed_at, work_start);
+        tracer.record(ctx, Stage::QueueWait, request.submitted_at, dequeued_at);
+        tracer.record(ctx, Stage::BatchWait, dequeued_at, work_start);
         tracer.record(ctx, Stage::Predict, predict_start, done_at);
         tracer.record(ctx, Stage::EndToEnd, request.submitted_at, done_at);
         let reply = outcome.map(|prediction| ServedPrediction {
@@ -1123,7 +1022,7 @@ fn execute_batch(
         // with `i < size == requests.len()` by contract.
         pool.run(size, |i| serve_one(&requests[i]));
     } else {
-        for request in &requests {
+        for request in requests {
             serve_one(request);
         }
     }
@@ -1146,6 +1045,7 @@ fn execute_batch(
 mod tests {
     use super::*;
     use privehd_core::HdModel;
+    use std::sync::Barrier;
 
     fn trained_model(dim: usize) -> HdModel {
         let mut model = HdModel::new(2, dim).unwrap();
@@ -1180,17 +1080,56 @@ mod tests {
         Hypervector::from_vec(vec![sign; dim])
     }
 
-    /// A throwaway request for scheduler-state unit tests.
-    fn test_request(model: &ModelId) -> Request {
+    /// A throwaway request for scheduling-state unit tests.
+    fn test_request() -> Request {
         let (reply, _rx) = mpsc::sync_channel(1);
+        let now = Instant::now();
         Request {
-            model: model.clone(),
             query: QueryVec::Dense(query(8, 1.0)),
             trace: Tracer::new(TelemetryConfig::default()).begin(),
-            submitted_at: Instant::now(),
-            routed_at: None,
+            submitted_at: now,
+            dequeued_at: now,
             reply: ReplySlot::Oneshot(reply),
         }
+    }
+
+    /// Holds the engine's workers parked (see [`park_workers`]) until
+    /// dropped. Declare it after the engine, so a failing assertion
+    /// releases the workers before the engine's drop joins them.
+    struct WorkerGate(Arc<Barrier>);
+
+    impl Drop for WorkerGate {
+        fn drop(&mut self) {
+            self.0.wait();
+        }
+    }
+
+    /// Parks each of the engine's `workers` inside a reply callback, so
+    /// later submissions back up in the queues deterministically. The
+    /// parking requests target an unpublished model: they answer
+    /// `NoModel` and never touch the tenants under test.
+    fn park_workers(engine: &ServeEngine, workers: usize) -> WorkerGate {
+        let release = Arc::new(Barrier::new(workers + 1));
+        let handle = engine.handle();
+        for _ in 0..workers {
+            // One at a time: the next parking request can only be taken
+            // by a worker that is not parked yet.
+            let parked = Arc::new(Barrier::new(2));
+            let (p, r) = (Arc::clone(&parked), Arc::clone(&release));
+            handle
+                .submit_with(
+                    &ModelId::new("gate"),
+                    QueryVec::Dense(query(8, 1.0)),
+                    handle.tracer().begin(),
+                    Box::new(move |_| {
+                        p.wait();
+                        r.wait();
+                    }),
+                )
+                .unwrap();
+            parked.wait();
+        }
+        WorkerGate(release)
     }
 
     #[test]
@@ -1229,7 +1168,6 @@ mod tests {
     fn config_builder_validates_at_build_time() {
         let cfg = ServeConfig::builder()
             .max_batch(8)
-            .max_delay(Duration::from_millis(2))
             .workers(3)
             .queue_depth(128)
             .tenant_quota(16)
@@ -1238,7 +1176,6 @@ mod tests {
             .build()
             .unwrap();
         assert_eq!(cfg.max_batch, 8);
-        assert_eq!(cfg.max_delay, Duration::from_millis(2));
         assert_eq!(cfg.workers, 3);
         assert_eq!(cfg.queue_depth, 128);
         assert_eq!(cfg.tenant_quota, 16);
@@ -1262,7 +1199,7 @@ mod tests {
         for (id, n) in [(&a, 10usize), (&b, 3), (&c, 1)] {
             let tq = st.queues.entry(id.clone()).or_default();
             for _ in 0..n {
-                tq.items.push_back(test_request(id));
+                tq.items.push_back(test_request());
             }
             tq.in_active = true;
             st.active.push_back(id.clone());
@@ -1272,28 +1209,29 @@ mod tests {
         let quantum = 4;
         let mut out = Vec::new();
 
-        drr_round(&mut st, quantum, &mut out);
+        let turn = drr_round(&mut st, quantum, &mut out);
         assert_eq!(out.len(), 4);
-        assert!(out.iter().all(|r| r.model == a), "first turn is a's");
+        assert_eq!(turn.as_ref(), Some(&a), "first turn is a's");
         assert_eq!(st.queued_total, 10);
 
         out.clear();
-        drr_round(&mut st, quantum, &mut out);
+        let turn = drr_round(&mut st, quantum, &mut out);
         assert_eq!(out.len(), 3, "b takes only its backlog, not the quantum");
-        assert!(out.iter().all(|r| r.model == b));
+        assert_eq!(turn.as_ref(), Some(&b));
         assert!(
             !st.queues.contains_key(&b),
             "an emptied tenant leaves the map (deficit reset)"
         );
 
         out.clear();
-        drr_round(&mut st, quantum, &mut out);
+        let turn = drr_round(&mut st, quantum, &mut out);
         assert_eq!(out.len(), 1);
-        assert!(out.iter().all(|r| r.model == c));
+        assert_eq!(turn.as_ref(), Some(&c));
 
         out.clear();
-        drr_round(&mut st, quantum, &mut out);
+        let turn = drr_round(&mut st, quantum, &mut out);
         assert_eq!(out.len(), 4, "a's second turn earns a fresh quantum");
+        assert_eq!(turn.as_ref(), Some(&a));
         out.clear();
         drr_round(&mut st, quantum, &mut out);
         assert_eq!(out.len(), 2, "a's remainder");
@@ -1304,7 +1242,7 @@ mod tests {
 
         // A further round on empty state is a no-op.
         out.clear();
-        drr_round(&mut st, quantum, &mut out);
+        assert_eq!(drr_round(&mut st, quantum, &mut out), None);
         assert!(out.is_empty());
     }
 
@@ -1393,18 +1331,18 @@ mod tests {
 
     #[test]
     fn queue_overflow_sheds_load() {
-        // One worker, tiny queue, and a batch window long enough that
-        // floods back up into the queue. tenant_quota exceeds
-        // queue_depth so the global limit is what trips.
+        // One parked worker and a tiny queue, so the flood backs up
+        // into the queue. tenant_quota exceeds queue_depth so the
+        // global limit is what trips.
         let config = ServeConfig {
             max_batch: 2,
-            max_delay: Duration::from_millis(50),
             workers: 1,
             queue_depth: 2,
             packed_fastpath: false,
             ..ServeConfig::default()
         };
         let engine = ServeEngine::start(registry(64), config).unwrap();
+        let gate = park_workers(&engine, 1);
         let mut pending = Vec::new();
         let mut saw_full = false;
         for _ in 0..200 {
@@ -1418,6 +1356,7 @@ mod tests {
             }
         }
         assert!(saw_full, "queue never filled");
+        drop(gate);
         for p in pending {
             assert!(p.wait().is_ok());
         }
@@ -1432,13 +1371,13 @@ mod tests {
         // room for everyone else.
         let config = ServeConfig {
             max_batch: 2,
-            max_delay: Duration::from_millis(50),
             workers: 1,
             queue_depth: 1_024,
             tenant_quota: 4,
             ..ServeConfig::default()
         };
         let engine = ServeEngine::start(registry(64), config).unwrap();
+        let gate = park_workers(&engine, 1);
         let mut pending = Vec::new();
         let mut saw_quota = false;
         for _ in 0..400 {
@@ -1452,14 +1391,13 @@ mod tests {
             }
         }
         assert!(saw_quota, "tenant quota never tripped");
-        // A different tenant is still admitted (NoModel is a serving
-        // answer, not an admission refusal).
-        assert_eq!(
-            engine
-                .predict_for(&ModelId::new("other"), query(64, 1.0))
-                .unwrap_err(),
-            ServeError::NoModel
-        );
+        // A different tenant is still admitted while the flood waits
+        // (NoModel is a serving answer, not an admission refusal).
+        let other = engine
+            .submit(&ModelId::new("other"), query(64, 1.0))
+            .unwrap();
+        drop(gate);
+        assert_eq!(other.wait().unwrap_err(), ServeError::NoModel);
         for p in pending {
             assert!(p.wait().is_ok());
         }
@@ -1471,13 +1409,13 @@ mod tests {
     fn batches_fill_under_load() {
         let config = ServeConfig {
             max_batch: 8,
-            max_delay: Duration::from_millis(20),
             workers: 2,
             queue_depth: 256,
             packed_fastpath: false,
             ..ServeConfig::default()
         };
         let engine = ServeEngine::start(registry(256), config).unwrap();
+        let gate = park_workers(&engine, 2);
         let pending: Vec<_> = (0..64)
             .map(|i| {
                 engine
@@ -1485,6 +1423,7 @@ mod tests {
                     .unwrap()
             })
             .collect();
+        drop(gate);
         let mut max_batch_seen = 0;
         for (i, p) in pending.into_iter().enumerate() {
             let served = p.wait().unwrap();
@@ -1498,6 +1437,43 @@ mod tests {
         let report = engine.shutdown();
         assert_eq!(report.completed, 64);
         assert!(report.mean_batch_size > 1.0, "{report}");
+    }
+
+    #[test]
+    fn batches_are_one_drr_turn_of_backlog_and_never_wait() {
+        // A lone request on an idle engine never waits for company.
+        let engine = ServeEngine::start(registry(64), ServeConfig::default()).unwrap();
+        assert_eq!(engine.predict(query(64, 1.0)).unwrap().batch_size, 1);
+        engine.shutdown();
+
+        // Backlog queued behind a parked worker is served in turns of
+        // min(backlog, drr_quantum, max_batch), in FIFO order.
+        for (n, drr_quantum, max_batch) in [(3, 8, 8), (12, 4, 8), (12, 8, 5)] {
+            let config = ServeConfig {
+                max_batch,
+                drr_quantum,
+                workers: 1,
+                ..ServeConfig::default()
+            };
+            let engine = ServeEngine::start(registry(64), config).unwrap();
+            let gate = park_workers(&engine, 1);
+            let pending: Vec<_> = (0..n)
+                .map(|_| engine.submit_default(query(64, 1.0)).unwrap())
+                .collect();
+            drop(gate);
+            let sizes: Vec<usize> = pending
+                .into_iter()
+                .map(|p| p.wait().unwrap().batch_size)
+                .collect();
+            let turn = n.min(drr_quantum).min(max_batch);
+            assert_eq!(
+                sizes[0], turn,
+                "n={n} quantum={drr_quantum} max_batch={max_batch}"
+            );
+            let want: Vec<usize> = (0..n).map(|i| (n - i / turn * turn).min(turn)).collect();
+            assert_eq!(sizes, want, "later turns take the remaining backlog");
+            engine.shutdown();
+        }
     }
 
     #[test]
@@ -1620,7 +1596,6 @@ mod tests {
         // resolves (successfully — not with Closed).
         let config = ServeConfig {
             max_batch: 4,
-            max_delay: Duration::from_millis(100),
             workers: 1,
             queue_depth: 64,
             packed_fastpath: false,
@@ -1628,10 +1603,20 @@ mod tests {
         };
         let engine = ServeEngine::start(registry(64), config).unwrap();
         let _live_handle = engine.handle();
+        // The worker stays parked until shutdown has stopped the
+        // queues, so all 16 requests are provably still queued then.
+        let gate = park_workers(&engine, 1);
         let pending: Vec<_> = (0..16)
             .map(|_| engine.submit_default(query(64, 1.0)).unwrap())
             .collect();
-        let report = engine.shutdown();
+        let shared = Arc::clone(&engine.shared);
+        let shutdown = std::thread::spawn(move || engine.shutdown());
+        while !shared.lock_state().stopped {
+            std::thread::yield_now();
+        }
+        assert_eq!(shared.lock_state().queued_total, 16);
+        drop(gate);
+        let report = shutdown.join().unwrap();
         assert_eq!(report.completed, 16);
         for p in pending {
             assert_eq!(p.wait().unwrap().prediction.class, 0);
@@ -1673,7 +1658,7 @@ mod tests {
 
     #[test]
     fn sharded_engine_batches_per_model() {
-        // One flush window, two models: requests must split into
+        // One backlog, two models: requests must split into
         // single-model batches even though they interleave in the queue.
         let reg = Arc::new(ShardedRegistry::new());
         let (a, b) = (ModelId::new("a"), ModelId::new("b"));
@@ -1681,19 +1666,20 @@ mod tests {
         reg.publish(&b, oriented_model(64, 1), "b1").unwrap();
         let config = ServeConfig {
             max_batch: 64,
-            max_delay: Duration::from_millis(20),
             workers: 2,
             queue_depth: 256,
             packed_fastpath: false,
             ..ServeConfig::default()
         };
         let engine = ServeEngine::start(reg, config).unwrap();
+        let gate = park_workers(&engine, 2);
         let pending: Vec<_> = (0..32)
             .map(|i| {
                 let id = if i % 2 == 0 { &a } else { &b };
                 (i, engine.submit(id, query(64, 1.0)).unwrap())
             })
             .collect();
+        drop(gate);
         for (i, p) in pending {
             let served = p.wait().unwrap();
             let want = if i % 2 == 0 { &a } else { &b };

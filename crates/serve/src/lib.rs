@@ -20,11 +20,11 @@
 //!   selection workers dispatch through. Single-model deployments
 //!   publish under [`ModelId::default`] with
 //!   [`ShardedRegistry::with_model`].
-//! * [`ServeEngine`] — per-tenant admission queues with quotas, a
-//!   deficit-round-robin scheduler, an adaptive micro-batcher (flushes
-//!   on [`ServeConfig::max_batch`] or [`ServeConfig::max_delay`],
-//!   accumulated *per model*) and a worker pool executing single-model
-//!   batches. One submit surface for every representation: queries
+//! * [`ServeEngine`] — per-tenant admission queues with quotas,
+//!   drained by worker threads that each take one deficit-round-robin
+//!   turn at a time: a single-model batch of whatever backlog queued
+//!   while they were busy (at most [`ServeConfig::max_batch`]), never
+//!   waiting for more. One submit surface for every representation: queries
 //!   submitted bit-packed ([`QueryVec::Packed`]) stay packed end to end
 //!   and are scored by the compiled plan's `XOR`+`POPCNT` kernel
 //!   ([`privehd_core::ModelPlan::predict_packed`]); dense submissions
@@ -95,7 +95,6 @@ pub mod engine;
 pub mod error;
 pub mod metrics;
 pub mod registry;
-mod router;
 pub mod stats;
 pub mod wire;
 

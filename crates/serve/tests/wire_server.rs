@@ -9,7 +9,10 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use privehd_core::{BipolarHv, HdModel, Hypervector};
-use privehd_serve::wire::{Frame, WireClient, WireClientError, WireConfig, WireServer, WireStatus};
+use privehd_serve::wire::{
+    Frame, QueryPayload, RequestFrame, WireClient, WireClientError, WireConfig, WireServer,
+    WireStatus,
+};
 use privehd_serve::{ModelId, ServeConfig, ServeEngine, ShardedRegistry};
 
 const DIM: usize = 256;
@@ -31,13 +34,13 @@ fn positive_query() -> BipolarHv {
 
 #[test]
 fn per_connection_in_flight_cap_answers_busy() {
-    // A slow engine (long batching window, nothing to flush early) so
-    // accepted requests provably stay in flight while the flood lands.
+    // All ten frames leave in one write, so the server reads and admits
+    // them in one pass, before any completion can free a slot: the
+    // first four fill the cap however fast the engine answers.
     let engine = ServeEngine::start(
         trained_registry(),
         ServeConfig {
             max_batch: 512,
-            max_delay: Duration::from_millis(300),
             workers: 1,
             queue_depth: 512,
             packed_fastpath: false,
@@ -55,19 +58,40 @@ fn per_connection_in_flight_cap_answers_busy() {
     )
     .unwrap();
 
-    let mut client = WireClient::connect(server.local_addr()).unwrap();
-    let ids: Vec<u64> = (0..10)
-        .map(|_| {
-            client
-                .send_packed(&ModelId::default(), &positive_query())
-                .unwrap()
+    let ids: Vec<u64> = (1..=10).collect();
+    let mut burst = Vec::new();
+    for &request_id in &ids {
+        Frame::Request(RequestFrame {
+            request_id,
+            model: ModelId::default(),
+            payload: QueryPayload::Packed(positive_query()),
         })
-        .collect();
+        .encode_into(&mut burst)
+        .unwrap();
+    }
+    let mut sock = TcpStream::connect(server.local_addr()).unwrap();
+    sock.set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    sock.write_all(&burst).unwrap();
+    let mut buf = Vec::new();
+    let mut chunk = [0u8; 4096];
+    let mut recv = || loop {
+        if let Some((frame, used)) = Frame::decode(&buf, 1 << 20).unwrap() {
+            buf.drain(..used);
+            let Frame::Response(resp) = frame else {
+                panic!("expected a response frame");
+            };
+            return resp;
+        }
+        let n = sock.read(&mut chunk).unwrap();
+        assert!(n > 0, "server closed before answering every frame");
+        buf.extend_from_slice(&chunk[..n]);
+    };
 
     let mut busy = 0;
     let mut served = 0;
     for _ in &ids {
-        let resp = client.recv().unwrap();
+        let resp = recv();
         assert!(ids.contains(&resp.request_id));
         match resp.outcome {
             Ok(p) => {

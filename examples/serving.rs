@@ -1,10 +1,11 @@
 //! End-to-end inference serving: edge clients obfuscate queries and a
-//! cloud-side engine micro-batches them through a worker pool, with a
-//! model hot swap happening mid-traffic.
+//! cloud-side engine batches them through its workers, with a model
+//! hot swap happening mid-traffic.
 //!
 //! Demonstrates the full `privehd-serve` subsystem: the client edge
-//! (encode + obfuscate), the versioned model registry, the adaptive
-//! micro-batcher, and the serving report (throughput, latency
+//! (encode + obfuscate), the versioned model registry, the
+//! work-conserving batching (a batch is whatever backlog queued while
+//! the workers were busy), and the serving report (throughput, latency
 //! quantiles, batch-size distribution, per-stage latency
 //! decomposition), then a multi-tenant engine
 //! serving three models from one `ShardedRegistry` with per-model
@@ -51,7 +52,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         Arc::clone(&registry),
         ServeConfig {
             max_batch: 64,
-            max_delay: Duration::from_micros(500),
             packed_fastpath: true,
             ..ServeConfig::default()
         },
@@ -138,8 +138,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Multi-tenant serving: three models (three tenants) behind ONE
     // engine, each hot-swappable and withdrawable on its own. Requests
-    // carry a ModelId; the batcher accumulates per model, so a batch
-    // never mixes tenants and each resolves its own registry snapshot.
+    // carry a ModelId; a worker's batch is one tenant's DRR turn, so a
+    // batch never mixes tenants and each resolves its own registry snapshot.
     println!("\n== multi-tenant serving ==");
     let sharded = Arc::new(ShardedRegistry::new());
     let tenants: Vec<ModelId> = (0..3)
@@ -169,7 +169,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         Arc::clone(&sharded),
         ServeConfig {
             max_batch: 32,
-            max_delay: Duration::from_micros(500),
             ..ServeConfig::default()
         },
     )?;

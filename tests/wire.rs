@@ -70,7 +70,6 @@ fn two_tenants_mixed_frames_and_a_malformed_injector() {
         Arc::clone(&registry),
         ServeConfig {
             max_batch: 32,
-            max_delay: Duration::from_micros(500),
             workers: 2,
             queue_depth: 1_024,
             packed_fastpath: false,
@@ -204,7 +203,6 @@ fn queue_pressure_surfaces_as_busy_frames() {
         registry,
         ServeConfig {
             max_batch: 2,
-            max_delay: Duration::from_millis(50),
             workers: 1,
             queue_depth: 2,
             packed_fastpath: false,
@@ -272,7 +270,6 @@ fn shutdown_drains_in_flight_wire_requests() {
         registry,
         ServeConfig {
             max_batch: 64,
-            max_delay: Duration::from_millis(100),
             workers: 1,
             queue_depth: 64,
             packed_fastpath: false,
@@ -289,8 +286,8 @@ fn shutdown_drains_in_flight_wire_requests() {
     for _ in 0..n {
         client.send_packed(&tenant.id, &packed).unwrap();
     }
-    // Give the poll loop a moment to accept the frames, then shut down
-    // while the 100 ms batching window still holds them in flight.
+    // Give the poll loop a moment to accept the frames, then shut down:
+    // whatever is still in flight must be answered, not dropped.
     std::thread::sleep(Duration::from_millis(20));
     let server_thread = std::thread::spawn(move || server.shutdown());
     let mut answered = 0usize;
