@@ -153,10 +153,9 @@ fn bench_predict_batch_api(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_packed_fastpath(c: &mut Criterion) {
+fn bench_obfuscated_query_path(c: &mut Criterion) {
     // Dense vs bit-packed classification of a bipolar (obfuscated)
-    // query — the popcount fast path workers take when
-    // `packed_fastpath` is set.
+    // query.
     let model = synthetic_model(5);
     let packed = privehd_core::BipolarHv::random(DIM, 6);
     let dense = packed.to_dense();
@@ -174,6 +173,6 @@ criterion_group!(
     name = benches;
     config = Criterion::default().sample_size(10);
     targets = bench_serving_batch_sizes, bench_multi_tenant_serving, bench_predict_batch_api,
-        bench_packed_fastpath
+        bench_obfuscated_query_path
 );
 criterion_main!(benches);

@@ -394,7 +394,6 @@ fn run_serve_suite(quick: bool, out_path: &str) {
         .collect();
     let serve_config = ServeConfig {
         max_batch: 64,
-        packed_fastpath: true,
         ..ServeConfig::default()
     };
 

@@ -41,6 +41,9 @@ pub enum HdError {
     ZeroNorm,
     /// An operation needed a non-empty collection (e.g. training data).
     EmptyInput(&'static str),
+    /// A query scored NaN against a class (it has a NaN component), so
+    /// no class can be ranked.
+    NonFiniteQuery,
 }
 
 impl fmt::Display for HdError {
@@ -62,6 +65,7 @@ impl fmt::Display for HdError {
             HdError::InvalidConfig(msg) => write!(f, "invalid configuration: {msg}"),
             HdError::ZeroNorm => write!(f, "operation undefined on an all-zero hypervector"),
             HdError::EmptyInput(what) => write!(f, "empty input: {what}"),
+            HdError::NonFiniteQuery => write!(f, "query scored NaN against a class hypervector"),
         }
     }
 }
@@ -91,6 +95,7 @@ mod tests {
             HdError::InvalidConfig("levels must be >= 2".to_owned()),
             HdError::ZeroNorm,
             HdError::EmptyInput("training set"),
+            HdError::NonFiniteQuery,
         ];
         for v in variants {
             let s = v.to_string();

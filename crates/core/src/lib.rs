@@ -46,8 +46,9 @@
 //! * [`plan`] — publish-time compilation: [`EncodePlan`] fuses
 //!   encode∘obfuscate into one table-driven pass, [`ModelPlan`] pins the
 //!   scoring snapshots behind a one-time kernel selection
-//!   ([`plan::PlanKernel`]), and [`plan::PlanTarget`] renders a plan for
-//!   software or hardware backends.
+//!   ([`plan::PlanKernel`]); the module also holds the one scoring
+//!   function per query representation that every predict entry
+//!   delegates to.
 //! * [`telemetry`] — sampled, lock-free request tracing ([`Tracer`],
 //!   [`Stage`], [`SpanEvent`]): the capture spine the serving layer's
 //!   stage-level latency decomposition is built on.
@@ -104,9 +105,7 @@ pub use kernels::{ClassMatrix, PackedClassMatrix, TransposedItemMemory};
 pub use model::{HdModel, Prediction, RetrainConfig, RetrainReport};
 pub use obfuscate::{ObfuscateConfig, Obfuscator};
 pub use online::{online_step, train_online, OnlineConfig, OnlineReport};
-pub use plan::{
-    EncodePlan, ModelPlan, PlanArtifact, PlanKernel, PlanTarget, SimdPath, SoftwareTarget,
-};
+pub use plan::{EncodePlan, ModelPlan, PlanKernel};
 pub use pool::ThreadPool;
 pub use prune::{information_curve, InformationPoint, PruneMask, PruneStrategy};
 pub use quantize::{QuantScheme, ValueHistogram};
@@ -123,7 +122,7 @@ pub mod prelude {
     pub use crate::model::{HdModel, Prediction, RetrainConfig, RetrainReport};
     pub use crate::obfuscate::{ObfuscateConfig, Obfuscator};
     pub use crate::online::{online_step, train_online, OnlineConfig, OnlineReport};
-    pub use crate::plan::{EncodePlan, ModelPlan, PlanKernel, PlanTarget, SoftwareTarget};
+    pub use crate::plan::{EncodePlan, ModelPlan, PlanKernel};
     pub use crate::prune::{information_curve, PruneMask, PruneStrategy};
     pub use crate::quantize::{QuantScheme, ValueHistogram};
 }

@@ -20,15 +20,14 @@ use serde::{Deserialize, Serialize};
 use crate::error::HdError;
 use crate::hypervector::{BipolarHv, Hypervector};
 use crate::kernels::{ClassMatrix, PackedClassMatrix};
+use crate::plan::{prediction_from_scores, score_dense, score_packed};
 use crate::pool;
 use crate::prune::PruneMask;
 use crate::quantize::QuantScheme;
 
 /// Queries scored together per cache tile of the batched predict path:
 /// one class row is streamed against this many queries while hot.
-/// `pub(crate)` so [`crate::plan::ModelPlan`] records the same tiling
-/// in its compiled kernel descriptor.
-pub(crate) const PREDICT_BLOCK: usize = 8;
+const PREDICT_BLOCK: usize = 8;
 
 /// A trained (or in-training) HD classification model.
 ///
@@ -276,23 +275,13 @@ impl HdModel {
     ///
     /// # Errors
     ///
-    /// Returns [`HdError::DimensionMismatch`] for a wrong query dimension
-    /// and [`HdError::ZeroNorm`] if every class hypervector is zero.
+    /// Returns [`HdError::DimensionMismatch`] for a wrong query dimension,
+    /// [`HdError::ZeroNorm`] if every class hypervector is zero and
+    /// [`HdError::NonFiniteQuery`] if a score is NaN (a NaN query
+    /// component).
     pub fn predict(&self, query: &Hypervector) -> Result<Prediction, HdError> {
         crate::plan::note_kernel_probe();
-        if query.dim() != self.dim {
-            return Err(HdError::DimensionMismatch {
-                expected: self.dim,
-                actual: query.dim(),
-            });
-        }
-        let matrix = self.matrix();
-        if matrix.all_zero() {
-            return Err(HdError::ZeroNorm);
-        }
-        let mut scores = Vec::new();
-        matrix.scores_into(query.as_slice(), &mut scores);
-        Ok(prediction_from_scores(scores))
+        score_dense(self.dim, self.matrix(), query)
     }
 
     /// The retained naive inference path: one iterator-order dense dot
@@ -326,7 +315,7 @@ impl HdModel {
                 dot / norm
             });
         }
-        Ok(prediction_from_scores(scores))
+        prediction_from_scores(scores)
     }
 
     /// Classifies a batch of queries with the blocked kernel, fanning
@@ -381,17 +370,21 @@ impl HdModel {
         }
         let threads = threads.max(1).min(queries.len());
         if threads <= 1 || queries.len() < 2 * PREDICT_BLOCK {
-            return Ok(predict_blocks(matrix, queries));
+            return predict_blocks(matrix, queries);
         }
         let chunk = queries.len().div_ceil(threads);
         let tasks = queries.len().div_ceil(chunk);
-        let results: Vec<Vec<Prediction>> = pool::global().map(tasks, |t| {
+        let results: Vec<Result<Vec<Prediction>, HdError>> = pool::global().map(tasks, |t| {
             predict_blocks(
                 matrix,
                 &queries[t * chunk..((t + 1) * chunk).min(queries.len())],
             )
         });
-        Ok(results.into_iter().flatten().collect())
+        let mut out = Vec::with_capacity(queries.len());
+        for part in results {
+            out.extend(part?);
+        }
+        Ok(out)
     }
 
     /// Classifies a bit-packed bipolar query — the fast path for
@@ -414,31 +407,15 @@ impl HdModel {
     ///
     /// # Errors
     ///
-    /// Returns [`HdError::DimensionMismatch`] for a wrong query dimension
-    /// and [`HdError::ZeroNorm`] if every class hypervector is zero.
+    /// Same contract as [`HdModel::predict`].
     pub fn predict_packed(&self, query: &BipolarHv) -> Result<Prediction, HdError> {
         crate::plan::note_kernel_probe();
-        if query.dim() != self.dim {
-            return Err(HdError::DimensionMismatch {
-                expected: self.dim,
-                actual: query.dim(),
-            });
-        }
-        let mut scores = Vec::new();
-        match self.packed_matrix() {
-            Some(packed) if !packed.all_zero() => {
-                packed.scores_packed_into(query.words(), &mut scores);
-            }
-            Some(_) => return Err(HdError::ZeroNorm),
-            None => {
-                let matrix = self.matrix();
-                if matrix.all_zero() {
-                    return Err(HdError::ZeroNorm);
-                }
-                matrix.scores_packed_into(query.words(), &mut scores);
-            }
-        }
-        Ok(prediction_from_scores(scores))
+        score_packed(
+            self.dim,
+            self.matrix(),
+            self.packed_matrix().map(Arc::as_ref),
+            query,
+        )
     }
 
     /// Classification accuracy over a labelled set of encoded queries.
@@ -684,25 +661,12 @@ impl HdModel {
     }
 }
 
-/// Shared argmax: winner = the last maximal score, matching the
-/// pre-kernel `Iterator::max_by` behavior on ties. `pub(crate)` so the
-/// compiled-plan predict paths resolve ties identically.
-pub(crate) fn prediction_from_scores(scores: Vec<f64>) -> Prediction {
-    let (class, &score) = scores
-        .iter()
-        .enumerate()
-        .max_by(|a, b| a.1.partial_cmp(b.1).expect("no NaN scores"))
-        .expect("at least one class");
-    Prediction {
-        class,
-        score,
-        scores,
-    }
-}
-
 /// Scores a slice of (pre-validated) queries tile by tile against the
 /// matrix snapshot.
-fn predict_blocks(matrix: &ClassMatrix, queries: &[Hypervector]) -> Vec<Prediction> {
+fn predict_blocks(
+    matrix: &ClassMatrix,
+    queries: &[Hypervector],
+) -> Result<Vec<Prediction>, HdError> {
     let mut out = Vec::with_capacity(queries.len());
     let mut refs: Vec<&[f64]> = Vec::with_capacity(PREDICT_BLOCK);
     for block in queries.chunks(PREDICT_BLOCK) {
@@ -712,9 +676,11 @@ fn predict_blocks(matrix: &ClassMatrix, queries: &[Hypervector]) -> Vec<Predicti
         // they are the one allocation per query that must happen anyway.
         let mut scores: Vec<Vec<f64>> = vec![Vec::new(); block.len()];
         matrix.scores_block_into(&refs, &mut scores);
-        out.extend(scores.into_iter().map(prediction_from_scores));
+        for row in scores {
+            out.push(prediction_from_scores(row)?);
+        }
     }
-    out
+    Ok(out)
 }
 
 #[cfg(test)]

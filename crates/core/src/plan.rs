@@ -2,8 +2,8 @@
 //!
 //! Every serving request used to walk generic, config-driven code: the
 //! edge re-derived the obfuscation permutation per call and the engine
-//! re-decided kernel dispatch (dense vs packed snapshot, AVX2 vs
-//! scalar, block sizes) per batch — even though all of it is fully
+//! re-decided kernel dispatch (dense vs packed snapshot) per batch —
+//! even though all of it is fully
 //! determined the moment a model is published. This module compiles
 //! those decisions **once**:
 //!
@@ -17,15 +17,14 @@
 //!   compile time (pinned by [`crate::obfuscate::permutation_build_count`]).
 //! * [`ModelPlan`] — the server-side scoring pipeline: shared-ownership
 //!   pins of the dense/packed class snapshots plus a one-time kernel
-//!   selection ([`PlanKernel`], including the AVX2-vs-scalar
-//!   [`SimdPath`] probe) that engine workers dispatch through instead
-//!   of re-probing per batch (pinned by [`kernel_probe_count`]).
-//! * [`PlanTarget`] — the compiler-backend abstraction: a plan can be
-//!   *rendered* for different execution substrates. [`SoftwareTarget`]
-//!   (this crate) describes the kernel tables above; `privehd-hw`
-//!   provides an FPGA target that renders the same plan as Verilog plus
-//!   an analytic resource/throughput model, turning the dormant
-//!   hardware pipeline into a second backend of the same compiler.
+//!   selection ([`PlanKernel`]) that engine workers dispatch through
+//!   instead of re-probing per batch (pinned by [`kernel_probe_count`]).
+//!
+//! This module also holds the only scoring code: one crate-private
+//! function per query representation (`score_dense` for a dense query,
+//! `score_packed` for a 1-bit one) and the shared argmax. The
+//! [`HdModel`] predict entries and the [`ModelPlan`] ones both delegate
+//! to them; they differ only in where the class snapshots come from.
 //!
 //! Every compiled path is bit-identical to the generic composition it
 //! replaces; `tests/properties.rs` holds plans to the generic paths
@@ -42,7 +41,7 @@ use crate::encoder::{Encoder, ScalarEncoder};
 use crate::error::HdError;
 use crate::hypervector::{BipolarHv, Hypervector};
 use crate::kernels::{self, ClassMatrix, PackedClassMatrix};
-use crate::model::{prediction_from_scores, HdModel, Prediction, PREDICT_BLOCK};
+use crate::model::{HdModel, Prediction};
 use crate::obfuscate::{ObfuscateConfig, Obfuscator};
 use crate::quantize::QuantScheme;
 
@@ -72,35 +71,6 @@ pub(crate) fn note_kernel_probe() {
 
 const WORD_BITS: usize = 64;
 
-/// Which arm the runtime-dispatched dot/popcount kernels take on this
-/// host — probed once at plan-compile time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SimdPath {
-    /// The explicit `std::arch` AVX2 arms.
-    Avx2,
-    /// The portable scalar arms.
-    Scalar,
-}
-
-impl SimdPath {
-    /// Probes the host once (memoized CPUID underneath).
-    pub fn probe() -> Self {
-        if kernels::avx2_dispatch() {
-            SimdPath::Avx2
-        } else {
-            SimdPath::Scalar
-        }
-    }
-
-    /// Short label for reports and rendered plans.
-    pub fn label(&self) -> &'static str {
-        match self {
-            SimdPath::Avx2 => "avx2",
-            SimdPath::Scalar => "scalar",
-        }
-    }
-}
-
 /// The scoring kernel a compiled [`ModelPlan`] dispatches through —
 /// selected once per publish instead of re-decided per batch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -111,33 +81,18 @@ pub enum PlanKernel {
     PackedPopcount {
         /// Packed words per class row (`⌈dim/64⌉`).
         hv_words: usize,
-        /// Host SIMD arm the popcount/dot kernels take.
-        simd: SimdPath,
     },
-    /// General dense rows: tiled `f64` scoring against the contiguous
-    /// [`ClassMatrix`], `block` queries per cache tile on the batch
-    /// path.
-    DenseTiled {
-        /// Queries scored per class-row tile on the batched path.
-        block: usize,
-        /// Host SIMD arm the dot kernels take.
-        simd: SimdPath,
-    },
+    /// General dense rows: `f64` scoring against the contiguous
+    /// [`ClassMatrix`].
+    DenseTiled,
 }
 
 impl PlanKernel {
-    /// Short label for reports and rendered plans.
+    /// Short label for reports.
     pub fn label(&self) -> &'static str {
         match self {
             PlanKernel::PackedPopcount { .. } => "packed-popcount",
-            PlanKernel::DenseTiled { .. } => "dense-tiled",
-        }
-    }
-
-    /// The SIMD arm this kernel was compiled for.
-    pub fn simd(&self) -> SimdPath {
-        match self {
-            PlanKernel::PackedPopcount { simd, .. } | PlanKernel::DenseTiled { simd, .. } => *simd,
+            PlanKernel::DenseTiled => "dense-tiled",
         }
     }
 }
@@ -288,10 +243,10 @@ impl EncodePlan {
 /// shared-ownership pins of the scoring snapshots plus the one-time
 /// [`PlanKernel`] selection request workers dispatch through.
 ///
-/// Every predict method is bit-identical (scores, tie-breaking, error
-/// contract) to the corresponding generic [`HdModel`] entry point — but
-/// performs no per-call cache probing, no packability re-decision and
-/// no SIMD re-detection.
+/// Every predict method runs the same scoring function (scores,
+/// tie-breaking, error contract) as the corresponding [`HdModel`] entry
+/// point — but performs no per-call cache probing and no packability
+/// re-decision.
 #[derive(Debug, Clone)]
 pub struct ModelPlan {
     dim: usize,
@@ -309,16 +264,11 @@ impl ModelPlan {
         let dim = model.dim();
         let dense = model.matrix_arc();
         let packed = model.packed_matrix_arc();
-        let simd = SimdPath::probe();
         let kernel = match &packed {
             Some(p) => PlanKernel::PackedPopcount {
                 hv_words: p.dim().div_ceil(WORD_BITS),
-                simd,
             },
-            None => PlanKernel::DenseTiled {
-                block: PREDICT_BLOCK,
-                simd,
-            },
+            None => PlanKernel::DenseTiled,
         };
         Self {
             dim,
@@ -344,160 +294,99 @@ impl ModelPlan {
     }
 
     /// Scores a bit-packed bipolar query through the compiled kernel —
-    /// bit-identical to [`HdModel::predict_packed`], with zero per-call
-    /// dispatch decisions.
+    /// the same scoring as [`HdModel::predict_packed`], with zero
+    /// per-call dispatch decisions.
     ///
     /// # Errors
     ///
-    /// [`HdError::DimensionMismatch`] for a wrong query dimension and
-    /// [`HdError::ZeroNorm`] if every class hypervector is zero.
+    /// [`HdError::DimensionMismatch`] for a wrong query dimension,
+    /// [`HdError::ZeroNorm`] if every class hypervector is zero and
+    /// [`HdError::NonFiniteQuery`] if a score is NaN.
     pub fn predict_packed(&self, query: &BipolarHv) -> Result<Prediction, HdError> {
-        if query.dim() != self.dim {
-            return Err(HdError::DimensionMismatch {
-                expected: self.dim,
-                actual: query.dim(),
-            });
-        }
-        let mut scores = Vec::new();
-        match &self.packed {
-            Some(packed) if !packed.all_zero() => {
-                packed.scores_packed_into(query.words(), &mut scores);
-            }
-            Some(_) => return Err(HdError::ZeroNorm),
-            None => {
-                if self.dense.all_zero() {
-                    return Err(HdError::ZeroNorm);
-                }
-                self.dense.scores_packed_into(query.words(), &mut scores);
-            }
-        }
-        Ok(prediction_from_scores(scores))
+        score_packed(self.dim, &self.dense, self.packed.as_deref(), query)
     }
 
-    /// Scores a dense query through the compiled kernel — bit-identical
-    /// to [`HdModel::predict`].
+    /// Scores a dense query through the compiled kernel — the same
+    /// scoring as [`HdModel::predict`].
     ///
     /// # Errors
     ///
-    /// [`HdError::DimensionMismatch`] for a wrong query dimension and
-    /// [`HdError::ZeroNorm`] if every class hypervector is zero.
+    /// Same contract as [`ModelPlan::predict_packed`].
     pub fn predict_dense(&self, query: &Hypervector) -> Result<Prediction, HdError> {
-        if query.dim() != self.dim {
-            return Err(HdError::DimensionMismatch {
-                expected: self.dim,
-                actual: query.dim(),
-            });
-        }
-        if self.dense.all_zero() {
-            return Err(HdError::ZeroNorm);
-        }
-        let mut scores = Vec::new();
-        self.dense.scores_into(query.as_slice(), &mut scores);
-        Ok(prediction_from_scores(scores))
-    }
-
-    /// [`ModelPlan::predict_dense`] with the strictly-bipolar bridge:
-    /// a dense query whose every component is exactly `±1` (an
-    /// obfuscated query that arrived dense) is repacked and routed
-    /// through [`ModelPlan::predict_packed`]. This is the compiled form
-    /// of the engine's `packed_fastpath` per-request decision.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`ModelPlan::predict_dense`].
-    pub fn predict_dense_auto(&self, query: &Hypervector) -> Result<Prediction, HdError> {
-        if is_strictly_bipolar(query.as_slice()) {
-            return self.predict_packed(&BipolarHv::from_signs(query.as_slice()));
-        }
-        self.predict_dense(query)
-    }
-
-    /// One-line human-readable description of the compiled kernel, used
-    /// by rendered plans and reports.
-    pub fn describe(&self) -> String {
-        match self.kernel {
-            PlanKernel::PackedPopcount { hv_words, simd } => format!(
-                "packed-popcount: {} classes × {hv_words} words (dim {}), xor+popcnt, {} arms",
-                self.num_classes(),
-                self.dim,
-                simd.label()
-            ),
-            PlanKernel::DenseTiled { block, simd } => format!(
-                "dense-tiled: {} classes × {} dims, f64 dot, block {block}, {} arms",
-                self.num_classes(),
-                self.dim,
-                simd.label()
-            ),
-        }
+        score_dense(self.dim, &self.dense, query)
     }
 }
 
-/// True when every component is exactly `+1.0` or `-1.0` — the
-/// precondition for repacking a dense query into a [`BipolarHv`]
-/// without changing its scores.
-pub fn is_strictly_bipolar(values: &[f64]) -> bool {
-    values.iter().all(|&v| v == 1.0 || v == -1.0)
-}
-
-/// A rendering of a compiled plan for one execution substrate.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PlanArtifact {
-    /// The target that rendered it (see [`PlanTarget::name`]).
-    pub target: &'static str,
-    /// One-paragraph human-readable summary.
-    pub summary: String,
-    /// The rendered payload — a kernel table description for the
-    /// software target, synthesizable RTL for the hardware target.
-    pub payload: String,
-}
-
-/// A compiler backend: renders a compiled [`ModelPlan`] for one
-/// execution substrate.
-///
-/// [`SoftwareTarget`] (this crate) renders the kernel-table form the
-/// serving engine executes; `privehd-hw` renders the same plan as
-/// synthesizable Verilog plus an analytic FPGA resource/throughput
-/// model.
-pub trait PlanTarget {
-    /// Stable target name (`"software"`, `"fpga"`, …).
-    fn name(&self) -> &'static str;
-
-    /// Renders the plan for this substrate.
-    fn render(&self, plan: &ModelPlan) -> PlanArtifact;
-}
-
-impl std::fmt::Debug for dyn PlanTarget {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PlanTarget")
-            .field("name", &self.name())
-            .finish()
+fn check_dim(expected: usize, actual: usize) -> Result<(), HdError> {
+    if actual == expected {
+        Ok(())
+    } else {
+        Err(HdError::DimensionMismatch { expected, actual })
     }
 }
 
-/// The in-process software backend: renders the kernel tables the
-/// serving engine dispatches through.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SoftwareTarget;
-
-impl PlanTarget for SoftwareTarget {
-    fn name(&self) -> &'static str {
-        "software"
+/// The one dense scoring body: cosine-like scores of `query` against
+/// the `dense` class rows (the query norm is a shared factor and is
+/// skipped, Eq. 4), then the shared argmax.
+pub(crate) fn score_dense(
+    dim: usize,
+    dense: &ClassMatrix,
+    query: &Hypervector,
+) -> Result<Prediction, HdError> {
+    check_dim(dim, query.dim())?;
+    if dense.all_zero() {
+        return Err(HdError::ZeroNorm);
     }
+    let mut scores = Vec::new();
+    dense.scores_into(query.as_slice(), &mut scores);
+    prediction_from_scores(scores)
+}
 
-    fn render(&self, plan: &ModelPlan) -> PlanArtifact {
-        let payload = format!(
-            "kernel = {}\nsimd = {}\nclasses = {}\ndim = {}\n",
-            plan.kernel().label(),
-            plan.kernel().simd().label(),
-            plan.num_classes(),
-            plan.dim(),
-        );
-        PlanArtifact {
-            target: self.name(),
-            summary: plan.describe(),
-            payload,
+/// The one packed scoring body: `XOR` + `POPCNT` against the packed
+/// class rows when they exist, otherwise sign-selected dots against
+/// the `dense` rows; then the shared argmax.
+pub(crate) fn score_packed(
+    dim: usize,
+    dense: &ClassMatrix,
+    packed: Option<&PackedClassMatrix>,
+    query: &BipolarHv,
+) -> Result<Prediction, HdError> {
+    check_dim(dim, query.dim())?;
+    let mut scores = Vec::new();
+    match packed {
+        Some(packed) if !packed.all_zero() => {
+            packed.scores_packed_into(query.words(), &mut scores);
+        }
+        Some(_) => return Err(HdError::ZeroNorm),
+        None => {
+            if dense.all_zero() {
+                return Err(HdError::ZeroNorm);
+            }
+            dense.scores_packed_into(query.words(), &mut scores);
         }
     }
+    prediction_from_scores(scores)
+}
+
+/// Shared argmax: winner = the last maximal score, matching
+/// `Iterator::max_by` on ties. A NaN score (a NaN query component)
+/// is a typed [`HdError::NonFiniteQuery`], never a panic.
+pub(crate) fn prediction_from_scores(scores: Vec<f64>) -> Result<Prediction, HdError> {
+    let mut best: Option<(usize, f64)> = None;
+    for (class, &score) in scores.iter().enumerate() {
+        if score.is_nan() {
+            return Err(HdError::NonFiniteQuery);
+        }
+        if best.is_none_or(|(_, top)| score >= top) {
+            best = Some((class, score));
+        }
+    }
+    let (class, score) = best.ok_or(HdError::EmptyInput("class scores"))?;
+    Ok(Prediction {
+        class,
+        score,
+        scores,
+    })
 }
 
 #[cfg(test)]
@@ -522,7 +411,7 @@ mod tests {
     fn compile_selects_dense_for_float_rows_and_popcount_for_sign_rows() {
         let (_, mut model) = trained_model(300, 3);
         let plan = ModelPlan::compile(&model);
-        assert!(matches!(plan.kernel(), PlanKernel::DenseTiled { .. }));
+        assert!(matches!(plan.kernel(), PlanKernel::DenseTiled));
         model.quantize_classes(QuantScheme::Bipolar);
         let plan = ModelPlan::compile(&model);
         assert!(matches!(
@@ -543,17 +432,6 @@ mod tests {
         assert_eq!(
             plan.predict_packed(&packed).unwrap(),
             model.predict_packed(&packed).unwrap()
-        );
-        // The auto bridge repacks strictly-bipolar dense queries.
-        let dense_bipolar = packed.to_dense();
-        assert_eq!(
-            plan.predict_dense_auto(&dense_bipolar).unwrap(),
-            model.predict_packed(&packed).unwrap()
-        );
-        // …and leaves general dense queries on the dense kernel.
-        assert_eq!(
-            plan.predict_dense_auto(&q).unwrap(),
-            model.predict(&q).unwrap()
         );
     }
 
@@ -651,22 +529,16 @@ mod tests {
     }
 
     #[test]
-    fn software_target_renders_the_kernel_table() {
-        let (_, mut model) = trained_model(256, 23);
-        model.quantize_classes(QuantScheme::Bipolar);
-        let plan = ModelPlan::compile(&model);
-        let artifact = SoftwareTarget.render(&plan);
-        assert_eq!(artifact.target, "software");
-        assert!(artifact.summary.contains("packed-popcount"));
-        assert!(artifact.payload.contains("kernel = packed-popcount"));
-        assert!(artifact.payload.contains("classes = 2"));
-    }
-
-    #[test]
-    fn strictly_bipolar_detection() {
-        assert!(is_strictly_bipolar(&[1.0, -1.0, 1.0]));
-        assert!(!is_strictly_bipolar(&[1.0, 0.0]));
-        assert!(!is_strictly_bipolar(&[1.0, f64::NAN]));
-        assert!(is_strictly_bipolar(&[]));
+    fn argmax_keeps_the_last_maximum_and_types_nan() {
+        let p = prediction_from_scores(vec![0.5, f64::NEG_INFINITY, 0.5, -1.0]).unwrap();
+        assert_eq!((p.class, p.score), (2, 0.5));
+        assert_eq!(
+            prediction_from_scores(vec![0.5, f64::NAN]),
+            Err(HdError::NonFiniteQuery)
+        );
+        assert_eq!(
+            prediction_from_scores(Vec::new()),
+            Err(HdError::EmptyInput("class scores"))
+        );
     }
 }

@@ -442,7 +442,7 @@ proptest! {
         let model = HdModel::from_classes(classes).unwrap();
         let plan = ModelPlan::compile(&model);
         // Float rows cannot pack: the compiler must select dense tiling.
-        prop_assert!(matches!(plan.kernel(), PlanKernel::DenseTiled { .. }));
+        prop_assert!(matches!(plan.kernel(), PlanKernel::DenseTiled));
         let query = Hypervector::from_vec(
             (0..dim).map(|j| (((seed as usize + j) as f64) * 0.3).cos()).collect(),
         );
@@ -472,9 +472,6 @@ proptest! {
         let query = BipolarHv::random(dim, seed);
         let expected = model.predict_packed(&query).unwrap();
         prop_assert_eq!(&plan.predict_packed(&query).unwrap(), &expected);
-        // A strictly-bipolar dense submission of the same query must
-        // land on the same kernel with the same result.
-        prop_assert_eq!(&plan.predict_dense_auto(&query.to_dense()).unwrap(), &expected);
     }
 
     #[test]

@@ -97,14 +97,6 @@ pub struct ServeConfig {
     /// Smaller values interleave tenants more finely (fairer under
     /// flood), larger values favor per-tenant batch density.
     pub drr_quantum: usize,
-    /// When set, queries whose components are all exactly `±1` (i.e.
-    /// bipolar-obfuscated queries) are bit-packed and classified through
-    /// the compiled plan's popcount kernel
-    /// ([`privehd_core::ModelPlan::predict_dense_auto`]). Scores then
-    /// differ from the dense path only in floating-point summation
-    /// order. Leave unset when bit-identical results to the dense path
-    /// ([`privehd_core::ModelPlan::predict_dense`]) are required.
-    pub packed_fastpath: bool,
     /// Request-tracing configuration: 1-in-N span sampling plus
     /// always-capture for slow requests. Stage *histograms* record
     /// regardless (they are counters); this only controls the trace
@@ -123,7 +115,6 @@ impl Default for ServeConfig {
             queue_depth: 1_024,
             tenant_quota: 256,
             drr_quantum: 32,
-            packed_fastpath: false,
             telemetry: TelemetryConfig::default(),
         }
     }
@@ -214,12 +205,6 @@ impl ServeConfigBuilder {
     /// Sets [`ServeConfig::drr_quantum`].
     pub fn drr_quantum(mut self, v: usize) -> Self {
         self.config.drr_quantum = v;
-        self
-    }
-
-    /// Sets [`ServeConfig::packed_fastpath`].
-    pub fn packed_fastpath(mut self, v: bool) -> Self {
-        self.config.packed_fastpath = v;
         self
     }
 
@@ -713,10 +698,9 @@ impl ServeEngine {
                 let registry = Arc::clone(&registry);
                 let metrics = Arc::clone(&metrics);
                 let tracer = Arc::clone(&tracer);
-                let packed = config.packed_fastpath;
                 std::thread::Builder::new()
                     .name(format!("privehd-worker-{i}"))
-                    .spawn(move || run_worker(&shared, turn, &registry, &metrics, &tracer, packed))
+                    .spawn(move || run_worker(&shared, turn, &registry, &metrics, &tracer))
                     .map_err(|e| {
                         ServeError::Transport(format!("failed to spawn worker thread: {e}"))
                     })
@@ -887,7 +871,6 @@ fn run_worker(
     registry: &ShardedRegistry,
     metrics: &ServeMetrics,
     tracer: &Tracer,
-    packed_fastpath: bool,
 ) {
     let mut batch: Vec<Request> = Vec::new();
     loop {
@@ -919,7 +902,7 @@ fn run_worker(
         for request in &mut batch {
             request.dequeued_at = dequeued_at;
         }
-        execute_batch(&model, &batch, registry, metrics, tracer, packed_fastpath);
+        execute_batch(&model, &batch, registry, metrics, tracer);
         batch.clear();
     }
 }
@@ -934,7 +917,6 @@ fn execute_batch(
     registry: &ShardedRegistry,
     metrics: &ServeMetrics,
     tracer: &Tracer,
-    packed_fastpath: bool,
 ) {
     let size = requests.len();
     metrics.on_batch(size);
@@ -968,25 +950,18 @@ fn execute_batch(
             None => Err(ServeError::NoModel),
             Some(served) => {
                 // Dispatch through the plan compiled at publish time:
-                // kernel selection (packed vs dense snapshot, SIMD arm,
-                // block size) happened exactly once, in
-                // `ModelPlan::compile` — nothing is re-probed here.
+                // kernel selection (packed vs dense snapshot) happened
+                // exactly once, in `ModelPlan::compile` — nothing is
+                // re-probed here.
                 let plan = served.plan();
                 match &request.query {
                     // Packed-native path: the query arrived bit-packed
                     // and is scored by the popcount kernels without
                     // ever materializing a dense form.
-                    QueryVec::Packed(hv) => plan.predict_packed(hv).map_err(ServeError::Model),
-                    QueryVec::Dense(q) => {
-                        if packed_fastpath {
-                            // The auto bridge repacks strictly-bipolar
-                            // dense queries onto the popcount kernel.
-                            plan.predict_dense_auto(q).map_err(ServeError::Model)
-                        } else {
-                            plan.predict_dense(q).map_err(ServeError::Model)
-                        }
-                    }
+                    QueryVec::Packed(hv) => plan.predict_packed(hv),
+                    QueryVec::Dense(q) => plan.predict_dense(q),
                 }
+                .map_err(ServeError::Model)
             }
         };
         let done_at = Instant::now();
@@ -1044,7 +1019,7 @@ fn execute_batch(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use privehd_core::HdModel;
+    use privehd_core::{HdError, HdModel};
     use std::sync::Barrier;
 
     fn trained_model(dim: usize) -> HdModel {
@@ -1172,7 +1147,6 @@ mod tests {
             .queue_depth(128)
             .tenant_quota(16)
             .drr_quantum(4)
-            .packed_fastpath(true)
             .build()
             .unwrap();
         assert_eq!(cfg.max_batch, 8);
@@ -1180,7 +1154,6 @@ mod tests {
         assert_eq!(cfg.queue_depth, 128);
         assert_eq!(cfg.tenant_quota, 16);
         assert_eq!(cfg.drr_quantum, 4);
-        assert!(cfg.packed_fastpath);
 
         assert!(ServeConfig::builder().max_batch(0).build().is_err());
         assert!(ServeConfig::builder().workers(0).build().is_err());
@@ -1338,7 +1311,6 @@ mod tests {
             max_batch: 2,
             workers: 1,
             queue_depth: 2,
-            packed_fastpath: false,
             ..ServeConfig::default()
         };
         let engine = ServeEngine::start(registry(64), config).unwrap();
@@ -1411,7 +1383,6 @@ mod tests {
             max_batch: 8,
             workers: 2,
             queue_depth: 256,
-            packed_fastpath: false,
             ..ServeConfig::default()
         };
         let engine = ServeEngine::start(registry(256), config).unwrap();
@@ -1477,25 +1448,6 @@ mod tests {
     }
 
     #[test]
-    fn packed_fastpath_agrees_with_dense_path() {
-        let config = ServeConfig {
-            packed_fastpath: true,
-            ..ServeConfig::default()
-        };
-        let reg = registry(128);
-        let engine = ServeEngine::start(Arc::clone(&reg), config).unwrap();
-        let model = reg.get(&ModelId::default()).unwrap();
-        for seed in 0..20u64 {
-            let packed = BipolarHv::random(128, seed);
-            let q = packed.to_dense();
-            let served = engine.predict(q.clone()).unwrap();
-            let direct = model.model().predict(&q).unwrap();
-            assert_eq!(served.prediction.class, direct.class, "seed {seed}");
-        }
-        engine.shutdown();
-    }
-
-    #[test]
     fn packed_submit_matches_dense_submit() {
         // A bipolar-quantized (sign-only) model: packed-native scoring
         // is bit-identical to the dense path, so the predictions must
@@ -1537,6 +1489,41 @@ mod tests {
         // The engine keeps serving afterwards.
         assert_eq!(engine.predict(query(64, 1.0)).unwrap().prediction.class, 0);
         engine.shutdown();
+    }
+
+    #[test]
+    fn nan_query_gets_a_typed_error_and_the_worker_survives() {
+        let config = ServeConfig {
+            workers: 1,
+            ..ServeConfig::default()
+        };
+        let engine = ServeEngine::start(registry(64), config).unwrap();
+        let mut poisoned = vec![1.0; 64];
+        poisoned[3] = f64::NAN;
+        let nan = engine
+            .submit_default(Hypervector::from_vec(poisoned))
+            .unwrap()
+            .wait();
+        // Poll rather than block: a dead worker would never answer.
+        let next = engine.submit_default(query(64, 1.0)).unwrap();
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let next = loop {
+            if let Some(outcome) = next.try_wait() {
+                break Some(outcome);
+            }
+            if Instant::now() > deadline {
+                break None;
+            }
+            std::thread::sleep(Duration::from_millis(1));
+        };
+        let report = engine.shutdown();
+        assert!(
+            matches!(nan, Err(ServeError::Model(HdError::NonFiniteQuery))),
+            "{nan:?}"
+        );
+        let next = next.expect("the worker must answer the next query");
+        assert_eq!(next.unwrap().prediction.class, 0);
+        assert_eq!((report.completed, report.failed), (1, 1));
     }
 
     #[test]
@@ -1598,7 +1585,6 @@ mod tests {
             max_batch: 4,
             workers: 1,
             queue_depth: 64,
-            packed_fastpath: false,
             ..ServeConfig::default()
         };
         let engine = ServeEngine::start(registry(64), config).unwrap();
@@ -1668,7 +1654,6 @@ mod tests {
             max_batch: 64,
             workers: 2,
             queue_depth: 256,
-            packed_fastpath: false,
             ..ServeConfig::default()
         };
         let engine = ServeEngine::start(reg, config).unwrap();

@@ -28,7 +28,7 @@
 //!   submitted bit-packed ([`QueryVec::Packed`]) stay packed end to end
 //!   and are scored by the compiled plan's `XOR`+`POPCNT` kernel
 //!   ([`privehd_core::ModelPlan::predict_packed`]); dense submissions
-//!   can opt into the same kernel via [`ServeConfig::packed_fastpath`].
+//!   are scored by its dense kernel.
 //! * [`ClientEdge`] — the device-side `ScalarEncoder` ∘ `Obfuscator`
 //!   composition, guaranteeing the server only ever sees obfuscated
 //!   queries.

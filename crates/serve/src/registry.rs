@@ -579,7 +579,7 @@ mod tests {
         r.publish(&id, mixed, "mixed").unwrap();
         assert!(matches!(
             r.get(&id).unwrap().plan().kernel(),
-            PlanKernel::DenseTiled { .. }
+            PlanKernel::DenseTiled
         ));
     }
 
@@ -617,7 +617,7 @@ mod tests {
             old.model().predict(&q).unwrap()
         );
         // The new snapshot carries the freshly compiled plan.
-        assert!(matches!(new.plan().kernel(), PlanKernel::DenseTiled { .. }));
+        assert!(matches!(new.plan().kernel(), PlanKernel::DenseTiled));
         assert_eq!(
             new.plan().predict_dense(&q).unwrap(),
             new.model().predict(&q).unwrap()

@@ -43,7 +43,6 @@ fn per_connection_in_flight_cap_answers_busy() {
             max_batch: 512,
             workers: 1,
             queue_depth: 512,
-            packed_fastpath: false,
             ..ServeConfig::default()
         },
     )

@@ -72,7 +72,6 @@ fn two_tenants_mixed_frames_and_a_malformed_injector() {
             max_batch: 32,
             workers: 2,
             queue_depth: 1_024,
-            packed_fastpath: false,
             ..ServeConfig::default()
         },
     )
@@ -205,7 +204,6 @@ fn queue_pressure_surfaces_as_busy_frames() {
             max_batch: 2,
             workers: 1,
             queue_depth: 2,
-            packed_fastpath: false,
             ..ServeConfig::default()
         },
     )
@@ -272,7 +270,6 @@ fn shutdown_drains_in_flight_wire_requests() {
             max_batch: 64,
             workers: 1,
             queue_depth: 64,
-            packed_fastpath: false,
             ..ServeConfig::default()
         },
     )
