@@ -377,7 +377,7 @@ fn run_serve_suite(quick: bool, out_path: &str) {
         )
     };
     // Reactor count for the multi-reactor server: at least 2 so the
-    // sharded-accept path is exercised even on a 1-core container.
+    // shared-accept path is exercised even on a 1-core container.
     let reactors_multi = std::thread::available_parallelism()
         .map(|n| n.get().min(4))
         .unwrap_or(1)
@@ -493,8 +493,8 @@ fn run_serve_suite(quick: bool, out_path: &str) {
     single_server.shutdown();
 
     // Latency-under-load: open-loop offered-rate sweep against the
-    // multi-reactor server. Each point uses a fresh connection, so
-    // successive points land on different reactors (fd % N pinning).
+    // multi-reactor server. Each point uses a fresh connection, which
+    // whichever reactor wins its accept keeps.
     let mut load_points = Vec::new();
     for rate in &sweep_rates {
         let point = open_loop_point(

@@ -9,12 +9,11 @@
 //!
 //! The design favours predictability over sophistication:
 //!
-//! * Every worker owns a deque. Submissions are spread round-robin
-//!   across the deques; a worker pops its own deque from the front and,
-//!   when that is empty, steals from the *back* of its siblings'. A
-//!   burst of jobs (or one worker wedged on a long job) is therefore
-//!   redistributed instead of serializing every claim behind the single
-//!   shared channel lock the previous design used.
+//! * Every submission lands in one FIFO queue behind one mutex, and
+//!   parked workers wake on one condvar. Jobs are per lane, not per
+//!   item, so the lock is taken only a few times per `run` or `spawn`,
+//!   and any idle worker can take any queued job: a burst never waits
+//!   behind one worker wedged on a long job.
 //! * Within one `run`, workers pull indexed tasks off a shared atomic
 //!   counter, so chunks self-balance across lanes without further
 //!   queueing.
@@ -44,102 +43,50 @@ thread_local! {
     static IN_POOL_WORKER: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
 }
 
-/// The queues and coordination state shared by submitters and workers.
+/// The job queue shared by submitters and workers.
 struct PoolShared {
-    /// One deque per worker. Submissions land round-robin; the owning
-    /// worker pops from the front, idle siblings steal from the back
-    /// (the freshest job), leaving the owner its oldest work.
-    deques: Vec<Mutex<VecDeque<Job>>>,
-    /// Round-robin cursor selecting the next submission's home deque.
-    cursor: AtomicUsize,
-    coord: Mutex<CoordState>,
+    queue: Mutex<PoolQueue>,
     /// Signalled on every submission and on close.
     jobs: Condvar,
 }
 
-/// Coordinator state guarded by [`PoolShared::coord`].
-struct CoordState {
-    /// Count of submitted-but-unclaimed jobs. The reservation is taken
-    /// *before* the job is pushed onto a deque and released only after
-    /// a successful pop, so `pending` is always an upper bound on the
-    /// jobs physically present across the deques: a worker that sees
-    /// `pending > 0` yet finds every deque empty knows a push is
-    /// mid-flight and retries instead of parking forever.
-    pending: usize,
-    /// Set on pool drop; workers exit once this is set *and* `pending`
-    /// reaches zero, so jobs queued before the drop still run.
+/// The state guarded by [`PoolShared::queue`].
+struct PoolQueue {
+    jobs: VecDeque<Job>,
+    /// Set on pool drop; workers exit once this is set *and* `jobs` is
+    /// empty, so jobs queued before the drop still run.
     closed: bool,
 }
 
 impl PoolShared {
-    /// Submits one job: reserve in `pending`, place on the round-robin
-    /// deque, wake a parked worker. Must not be called on an empty pool
-    /// (zero deques) — those cases execute inline at the call site.
+    /// Submits one job and wakes a parked worker. Must not be called on
+    /// an empty pool (no workers) — those cases execute inline at the
+    /// call site.
     fn push(&self, job: Job) {
-        {
-            let mut coord = self.coord.lock().expect("pool lock poisoned");
-            coord.pending += 1;
-        }
-        // Relaxed: the cursor only spreads jobs across deques for
-        // balance; the job itself is published by the deque's mutex.
-        let slot = self.cursor.fetch_add(1, Ordering::Relaxed) % self.deques.len();
-        self.deques[slot]
+        self.queue
             .lock()
-            .expect("pool deque poisoned")
+            .expect("pool lock poisoned")
+            .jobs
             .push_back(job);
         self.jobs.notify_one();
     }
 
-    /// Claims one job for the worker owning deque `home`, parking while
-    /// everything is empty. Returns `None` once the pool has closed and
-    /// every submitted job has been claimed.
-    fn claim(&self, home: usize) -> Option<Job> {
+    /// Claims the oldest queued job, parking while the queue is empty.
+    /// Returns `None` once the pool has closed and the queue is drained.
+    fn claim(&self) -> Option<Job> {
+        let mut queue = self.queue.lock().expect("pool lock poisoned");
         loop {
-            if let Some(job) = self.try_pop(home) {
+            if let Some(job) = queue.jobs.pop_front() {
                 return Some(job);
             }
-            let coord = self.coord.lock().expect("pool lock poisoned");
-            if coord.pending == 0 {
-                if coord.closed {
-                    return None;
-                }
-                // Parking atomically releases the coordinator lock, and
-                // `push` reserves under that same lock before notifying,
-                // so a submission can never slip between this check and
-                // the wait.
-                drop(self.jobs.wait(coord).expect("pool lock poisoned"));
-            } else {
-                // pending > 0 but every deque looked empty: a push is
-                // still between its reservation and its deque insert.
-                // Transient by construction — retry after a yield.
-                drop(coord);
-                std::thread::yield_now();
+            if queue.closed {
+                return None;
             }
+            // Parking atomically releases the lock `push` inserts
+            // under, so a submission can never slip between the empty
+            // check and the wait.
+            queue = self.jobs.wait(queue).expect("pool lock poisoned");
         }
-    }
-
-    /// One scan over the deques: the home deque from the front, then
-    /// each sibling from the back. Releases the `pending` reservation
-    /// on a hit.
-    fn try_pop(&self, home: usize) -> Option<Job> {
-        let n = self.deques.len();
-        for k in 0..n {
-            let slot = (home + k) % n;
-            let job = {
-                let mut deque = self.deques[slot].lock().expect("pool deque poisoned");
-                if k == 0 {
-                    deque.pop_front()
-                } else {
-                    deque.pop_back()
-                }
-            };
-            if let Some(job) = job {
-                let mut coord = self.coord.lock().expect("pool lock poisoned");
-                coord.pending -= 1;
-                return Some(job);
-            }
-        }
-        None
     }
 }
 
@@ -194,10 +141,8 @@ impl ThreadPool {
     /// [`ThreadPool::run`] then executes inline on the caller).
     pub fn new(threads: usize) -> Self {
         let shared = Arc::new(PoolShared {
-            deques: (0..threads).map(|_| Mutex::new(VecDeque::new())).collect(),
-            cursor: AtomicUsize::new(0),
-            coord: Mutex::new(CoordState {
-                pending: 0,
+            queue: Mutex::new(PoolQueue {
+                jobs: VecDeque::new(),
                 closed: false,
             }),
             jobs: Condvar::new(),
@@ -207,7 +152,7 @@ impl ThreadPool {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("privehd-pool-{i}"))
-                    .spawn(move || worker_loop(&shared, i))
+                    .spawn(move || worker_loop(&shared))
                     .expect("failed to spawn pool worker")
             })
             .collect();
@@ -342,8 +287,8 @@ impl ThreadPool {
 impl Drop for ThreadPool {
     fn drop(&mut self) {
         {
-            let mut coord = self.shared.coord.lock().expect("pool lock poisoned");
-            coord.closed = true;
+            let mut queue = self.shared.queue.lock().expect("pool lock poisoned");
+            queue.closed = true;
         }
         self.shared.jobs.notify_all();
         for w in self.workers.drain(..) {
@@ -387,7 +332,7 @@ impl RunCtx {
         let outcome = catch_unwind(AssertUnwindSafe(|| loop {
             // Relaxed: the counter only partitions indices between
             // lanes; the closure and its captures were published to
-            // this lane by the deque's mutex, not by this counter.
+            // this lane by the queue's mutex, not by this counter.
             let i = self.next.fetch_add(1, Ordering::Relaxed);
             if i >= self.tasks {
                 break;
@@ -423,9 +368,9 @@ impl RunCtx {
     }
 }
 
-fn worker_loop(shared: &PoolShared, home: usize) {
+fn worker_loop(shared: &PoolShared) {
     IN_POOL_WORKER.with(|flag| flag.set(true));
-    while let Some(job) = shared.claim(home) {
+    while let Some(job) = shared.claim() {
         job();
     }
 }
@@ -593,7 +538,7 @@ mod tests {
     }
 
     #[test]
-    fn idle_worker_steals_jobs_stuck_behind_a_busy_sibling() {
+    fn burst_is_not_stranded_behind_a_wedged_worker() {
         use std::time::Duration;
         let pool = ThreadPool::new(2);
         let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
@@ -602,9 +547,8 @@ mod tests {
         pool.spawn(move || {
             release_rx.recv_timeout(Duration::from_secs(30)).ok();
         });
-        // ...then submit a burst. Round-robin parks half of it on the
-        // wedged worker's deque; the free worker must steal that half
-        // rather than leave it stranded until the blocker finishes.
+        // ...then submit a burst. The free worker must drain all of it
+        // rather than leave any job stranded until the blocker finishes.
         for i in 0..8 {
             let tx = done_tx.clone();
             pool.spawn(move || {
@@ -621,6 +565,44 @@ mod tests {
         got.sort_unstable();
         assert_eq!(got, (0..8).collect::<Vec<_>>());
         release_tx.send(()).expect("blocker alive");
+    }
+
+    #[test]
+    fn jobs_queued_before_drop_still_run() {
+        use std::time::Duration;
+        const N: usize = 16;
+        let pool = ThreadPool::new(1);
+        let (started_tx, started_rx) = std::sync::mpsc::channel::<()>();
+        let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
+        // Hold the only worker busy...
+        pool.spawn(move || {
+            started_tx.send(()).expect("test alive");
+            release_rx.recv_timeout(Duration::from_secs(30)).ok();
+        });
+        started_rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("worker picked up the blocker");
+        // ...queue N jobs behind it...
+        let ran = Arc::new(AtomicUsize::new(0));
+        for _ in 0..N {
+            let ran = Arc::clone(&ran);
+            pool.spawn(move || {
+                ran.fetch_add(1, Ordering::SeqCst);
+            });
+        }
+        // ...close the pool while all N are still queued...
+        let shared = Arc::clone(&pool.shared);
+        let dropper = std::thread::spawn(move || drop(pool));
+        {
+            let queue = shared.queue.lock().unwrap();
+            let queue = shared.jobs.wait_while(queue, |q| !q.closed).unwrap();
+            assert_eq!(queue.jobs.len(), N);
+        }
+        // ...then release the worker: it must drain the queue before
+        // it exits.
+        release_tx.send(()).unwrap();
+        dropper.join().unwrap();
+        assert_eq!(ran.load(Ordering::SeqCst), N);
     }
 
     #[test]

@@ -6,8 +6,8 @@
 //! performance question. This module is the capture half of the answer:
 //! a [`Tracer`] hands out [`TraceCtx`] handles (one per request),
 //! decides 1-in-N sampling at request birth, and records timestamped
-//! [`SpanEvent`]s — `(trace id, stage, t_start, t_end)` — into sharded
-//! lock-free ring buffers. The aggregation half (per-[`Stage`] latency
+//! [`SpanEvent`]s — `(trace id, stage, t_start, t_end)` — into one
+//! lock-free ring buffer. The aggregation half (per-[`Stage`] latency
 //! histograms, Prometheus text exposition) lives in the serving crate;
 //! this layer deliberately knows nothing about models, sockets, or
 //! reports.
@@ -29,8 +29,8 @@
 //!
 //! ## Ring semantics (best effort, by design)
 //!
-//! Each shard is a fixed-capacity ring of seqlock slots. Writers claim
-//! a slot with one `fetch_add` on the shard head and stamp the slot's
+//! The ring is a fixed-capacity array of seqlock slots. Writers claim
+//! a slot with one `fetch_add` on the ring head and stamp the slot's
 //! sequence odd while writing, even when done; [`Tracer::snapshot`]
 //! re-checks each slot's sequence around its reads and simply skips
 //! slots that were mid-write or overwritten. Under overwrite pressure
@@ -38,7 +38,7 @@
 //! never surfaced corrupt. Telemetry never blocks serving — that
 //! trade-off is the point.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 /// One pipeline stage of the serving request path, from wire bytes to
@@ -184,13 +184,9 @@ pub struct TelemetryConfig {
     /// Spans at least this long are captured even when their request
     /// was not sampled, so tail latency is always explainable.
     pub slow_threshold: Duration,
-    /// Slots per ring shard; older events are overwritten by newer ones
-    /// once a shard wraps.
+    /// Slots in the span ring; older events are overwritten by newer
+    /// ones once the ring wraps.
     pub ring_capacity: usize,
-    /// Number of ring shards. Writer threads spread across shards by a
-    /// cheap thread-local id, so concurrent writers rarely contend on a
-    /// slot.
-    pub shards: usize,
 }
 
 impl Default for TelemetryConfig {
@@ -199,15 +195,14 @@ impl Default for TelemetryConfig {
             enabled: true,
             sample_one_in: 64,
             slow_threshold: Duration::from_millis(25),
-            ring_capacity: 256,
-            shards: 4,
+            ring_capacity: 1024,
         }
     }
 }
 
 impl TelemetryConfig {
     /// A configuration that captures nothing: sampling off, no slow
-    /// capture, rings never written. The baseline for overhead
+    /// capture, the ring never written. The baseline for overhead
     /// measurements.
     pub fn disabled() -> Self {
         Self {
@@ -269,7 +264,7 @@ impl Slot {
 
 const META_SLOW_BIT: u64 = 1 << 8;
 
-/// One ring shard: a claim counter plus fixed slots.
+/// The span ring: a claim counter plus fixed slots.
 #[derive(Debug)]
 struct Ring {
     head: AtomicU64,
@@ -299,8 +294,9 @@ impl Ring {
         slot.trace.store(trace, Ordering::Relaxed);
         slot.meta.store(meta, Ordering::Relaxed);
         slot.start_ns.store(start_ns, Ordering::Relaxed);
-        slot.end_ns.store(end_ns, Ordering::Relaxed); // Relaxed: as above
-                                                      // Release: pairs with the Acquire seq load in `snapshot_into`.
+        // Relaxed: as above.
+        slot.end_ns.store(end_ns, Ordering::Relaxed);
+        // Release: pairs with the Acquire seq load in `snapshot_into`.
         slot.seq.store(seq.wrapping_add(2), Ordering::Release);
     }
 
@@ -318,11 +314,12 @@ impl Ring {
             let trace = slot.trace.load(Ordering::Relaxed);
             let meta = slot.meta.load(Ordering::Relaxed);
             let start_ns = slot.start_ns.load(Ordering::Relaxed);
-            let end_ns = slot.end_ns.load(Ordering::Relaxed); // Relaxed: as above
-                                                              // Acquire fence: orders the payload loads before the seq
-                                                              // recheck; a writer bumps seq (AcqRel) before touching the
-                                                              // payload, so an unchanged Relaxed reload proves the loads
-                                                              // above were not torn.
+            // Relaxed: as above.
+            let end_ns = slot.end_ns.load(Ordering::Relaxed);
+            // Acquire fence: orders the payload loads before the seq
+            // recheck; a writer bumps seq (AcqRel) before touching the
+            // payload, so an unchanged Relaxed reload proves the loads
+            // above were not torn.
             std::sync::atomic::fence(Ordering::Acquire);
             if slot.seq.load(Ordering::Relaxed) != s1 {
                 continue; // overwritten while reading
@@ -341,21 +338,7 @@ impl Ring {
     }
 }
 
-/// Cheap stable per-thread id for shard selection: threads take
-/// sequential ids on first use, so a fixed worker pool spreads evenly
-/// over shards.
-fn thread_shard_id() -> usize {
-    static NEXT: AtomicUsize = AtomicUsize::new(0);
-    thread_local! {
-        // Relaxed: ids only need uniqueness, not ordering with any
-        // other memory.
-        static ID: usize = NEXT.fetch_add(1, Ordering::Relaxed);
-    }
-    ID.with(|&id| id)
-}
-
-/// The span capture engine: sampling decisions plus sharded event
-/// rings. One per serving engine; shared by `Arc` with the wire thread
+/// The span capture engine: sampling decisions plus one event ring. One per serving engine; shared by `Arc` with the wire thread
 /// and every worker.
 ///
 /// # Examples
@@ -384,30 +367,27 @@ pub struct Tracer {
     next_trace: AtomicU64,
     tick: AtomicU64,
     recorded: AtomicU64,
-    shards: Vec<Ring>,
+    ring: Ring,
 }
 
 impl Tracer {
-    /// Builds a tracer; zero-valued `sample_one_in`, `ring_capacity`,
-    /// or `shards` are clamped up to 1 (a tracer never fails to
-    /// construct — telemetry must not be able to take serving down).
+    /// Builds a tracer; zero-valued `sample_one_in` or `ring_capacity`
+    /// are clamped up to 1 (a tracer never fails to construct —
+    /// telemetry must not be able to take serving down).
     pub fn new(cfg: TelemetryConfig) -> Self {
         let cfg = TelemetryConfig {
             sample_one_in: cfg.sample_one_in.max(1),
             ring_capacity: cfg.ring_capacity.max(1),
-            shards: cfg.shards.max(1),
             ..cfg
         };
-        let shards = (0..cfg.shards)
-            .map(|_| Ring::new(cfg.ring_capacity))
-            .collect();
+        let ring = Ring::new(cfg.ring_capacity);
         Self {
             cfg,
             epoch: Instant::now(),
             next_trace: AtomicU64::new(0),
             tick: AtomicU64::new(0),
             recorded: AtomicU64::new(0),
-            shards,
+            ring,
         }
     }
 
@@ -458,13 +438,12 @@ impl Tracer {
         let start_ns = start.saturating_duration_since(self.epoch).as_nanos() as u64;
         let end_ns = end.saturating_duration_since(self.epoch).as_nanos() as u64;
         let meta = stage.index() as u64 | if slow { META_SLOW_BIT } else { 0 };
-        let shard = &self.shards[thread_shard_id() % self.shards.len()];
-        shard.push(ctx.id.0, meta, start_ns, end_ns);
+        self.ring.push(ctx.id.0, meta, start_ns, end_ns);
         // Relaxed: statistics counter; readers tolerate lag.
         self.recorded.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Total events ever pushed into the rings (including ones since
+    /// Total events ever pushed into the ring (including ones since
     /// overwritten).
     pub fn events_recorded(&self) -> u64 {
         self.recorded.load(Ordering::Relaxed)
@@ -475,9 +454,7 @@ impl Tracer {
     /// are skipped, never returned torn.
     pub fn snapshot(&self) -> Vec<SpanEvent> {
         let mut out = Vec::new();
-        for shard in &self.shards {
-            shard.snapshot_into(&mut out);
-        }
+        self.ring.snapshot_into(&mut out);
         out.sort_by_key(|e| (e.start_ns, e.trace, e.stage.index()));
         out
     }
@@ -493,7 +470,6 @@ mod tests {
             sample_one_in,
             slow_threshold: Duration::from_secs(3_600), // never slow in tests
             ring_capacity: 1_024,
-            shards: 2,
         }
     }
 
@@ -584,7 +560,6 @@ mod tests {
     fn ring_wraps_keep_newest_events() {
         let mut c = cfg(1);
         c.ring_capacity = 8;
-        c.shards = 1;
         let tracer = Tracer::new(c);
         let t0 = Instant::now();
         for i in 0..100u64 {
@@ -609,7 +584,6 @@ mod tests {
     fn concurrent_writers_never_produce_torn_events() {
         let mut c = cfg(1);
         c.ring_capacity = 64;
-        c.shards = 2;
         let tracer = std::sync::Arc::new(Tracer::new(c));
         let t0 = tracer.epoch();
         let mut handles = Vec::new();
@@ -648,11 +622,9 @@ mod tests {
             sample_one_in: 0,
             slow_threshold: Duration::ZERO,
             ring_capacity: 0,
-            shards: 0,
         });
         assert_eq!(tracer.config().sample_one_in, 1);
         assert_eq!(tracer.config().ring_capacity, 1);
-        assert_eq!(tracer.config().shards, 1);
         assert!(tracer.begin().sampled);
     }
 }

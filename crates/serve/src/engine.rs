@@ -25,10 +25,10 @@
 //! [`ServeConfig::queue_depth`] — so one tenant's flood sheds *that
 //! tenant's* load while everyone else keeps being admitted.
 //!
-//! Workers drain the queues with deficit round-robin: each tenant with
-//! waiting requests sits in an active ring, and each turn grants it
-//! [`ServeConfig::drr_quantum`] units of credit, serving at most that
-//! many requests before the next tenant's turn. A flooding tenant
+//! Workers drain the queues with deficit round-robin over unit-cost
+//! requests: each tenant with waiting requests sits in an active ring,
+//! and each turn serves at most [`ServeConfig::drr_quantum`] of its
+//! requests before the next tenant's turn. A flooding tenant
 //! therefore gets at most a quantum ahead of a victim per round
 //! regardless of how deep its backlog is.
 //!
@@ -320,15 +320,10 @@ struct Request {
     reply: ReplySlot,
 }
 
-/// One tenant's waiting requests plus its deficit-round-robin state.
+/// One tenant's waiting requests plus its place in the round-robin.
 #[derive(Default)]
 struct TenantQueue {
     items: VecDeque<Request>,
-    /// Unspent scheduling credit. With unit-cost requests this is
-    /// always zero between turns (a turn either spends the whole
-    /// quantum or empties the queue and the entry is removed); kept in
-    /// deficit form so weighted request costs stay a local change.
-    deficit: usize,
     /// Whether this tenant currently sits in the active ring (guards
     /// against double insertion when submissions race a turn).
     in_active: bool,
@@ -439,23 +434,18 @@ fn submit_slot(
 }
 
 /// One deficit-round-robin turn: the tenant at the head of the active
-/// ring earns `quantum` credit, dequeues at most that many requests
-/// into `out`, and either rejoins the ring (backlog left) or leaves the
-/// map entirely (emptied — which also resets its deficit, the classic
-/// DRR rule that an idle flow keeps no credit). Returns the tenant
-/// served, or `None` when no tenant was waiting.
+/// ring dequeues at most `quantum` requests into `out`, and either
+/// rejoins the ring (backlog left) or leaves the map entirely
+/// (emptied). Requests cost one unit each, so a turn either spends the
+/// whole quantum or empties the queue, and no credit ever carries over
+/// to the next turn. Returns the tenant served, or `None` when no
+/// tenant was waiting.
 fn drr_round(st: &mut SchedState, quantum: usize, out: &mut Vec<Request>) -> Option<ModelId> {
     let id = st.active.pop_front()?;
     let (take, now_empty) = {
         let tq = st.queues.get_mut(&id)?;
-        tq.deficit += quantum;
-        let take = tq.deficit.min(tq.items.len());
-        for _ in 0..take {
-            if let Some(r) = tq.items.pop_front() {
-                out.push(r);
-            }
-        }
-        tq.deficit -= take;
+        let take = quantum.min(tq.items.len());
+        out.extend(tq.items.drain(..take));
         (take, tq.items.is_empty())
     };
     st.queued_total -= take;

@@ -12,7 +12,7 @@
 //!
 //! * [`ShardedRegistry`] / [`ModelId`] — *the* model registry: many
 //!   independently versioned models (per tenant, encoder basis, or
-//!   privacy budget) spread over per-shard locks, each behind an atomic
+//!   privacy budget) behind one lock, each with an atomic
 //!   hot-swap (`Arc`-swap pattern) so retraining publishes a new
 //!   version without pausing inference, and in-flight batches finish on
 //!   the snapshot they started with. Publishing also compiles the
@@ -21,10 +21,10 @@
 //!   publish under [`ModelId::default`] with
 //!   [`ShardedRegistry::with_model`].
 //! * [`ServeEngine`] — per-tenant admission queues with quotas,
-//!   drained by worker threads that each take one deficit-round-robin
-//!   turn at a time: a single-model batch of whatever backlog queued
-//!   while they were busy (at most [`ServeConfig::max_batch`]), never
-//!   waiting for more. One submit surface for every representation: queries
+//!   drained by worker threads that each take one round-robin turn at
+//!   a time: a single-model batch of whatever backlog queued while they
+//!   were busy (at most [`ServeConfig::drr_quantum`] and
+//!   [`ServeConfig::max_batch`]), never waiting for more. One submit surface for every representation: queries
 //!   submitted bit-packed ([`QueryVec::Packed`]) stay packed end to end
 //!   and are scored by the compiled plan's `XOR`+`POPCNT` kernel
 //!   ([`privehd_core::ModelPlan::predict_packed`]); dense submissions

@@ -10,12 +10,13 @@
 //! the previous snapshot keep serving it to completion, so a swap never
 //! drops or corrupts in-flight requests.
 //!
-//! Models — one per tenant, encoder basis, or privacy budget — are
-//! spread over N shards by [`ModelId`] hash, each shard guarding its
-//! own `HashMap<ModelId, …>` behind its own lock, so publishes and
-//! lookups for different tenants contend only when their ids land on
-//! the same shard. Single-model deployments simply publish under
-//! [`ModelId::default()`] (see [`ShardedRegistry::with_model`]). The
+//! Models — one per tenant, encoder basis, or privacy budget — live in
+//! one `HashMap<ModelId, …>` behind one `RwLock`. Lookups share the
+//! read lock, and a publish holds the write lock only for the pointer
+//! swap (plan compilation runs before it), so the lock is held far too
+//! briefly to be worth splitting. Single-model deployments simply
+//! publish under [`ModelId::default()`] (see
+//! [`ShardedRegistry::with_model`]). The
 //! historical single-slot `ModelRegistry` facade served its one
 //! deprecation release and is gone.
 //!
@@ -42,9 +43,7 @@
 //!   for incremental deployments that grow the label set online — and
 //!   returns the indices of the classes that cannot yet be predicted.
 
-use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
 use std::sync::{Arc, RwLock};
 
 use privehd_core::{HdError, HdModel, ModelPlan};
@@ -83,13 +82,6 @@ impl ModelId {
     /// The id as a string slice.
     pub fn as_str(&self) -> &str {
         &self.0
-    }
-
-    /// The shard index this id maps to among `shards` shards.
-    pub(crate) fn shard_index(&self, shards: usize) -> usize {
-        let mut h = DefaultHasher::new();
-        self.0.hash(&mut h);
-        (h.finish() % shards as u64) as usize
     }
 }
 
@@ -189,10 +181,7 @@ fn validate_norms(model: &HdModel, allow_partial: bool) -> Result<Vec<usize>, Se
     Ok(untrained)
 }
 
-/// How many shards [`ShardedRegistry::new`] creates.
-pub const DEFAULT_SHARDS: usize = 16;
-
-/// One tenant's slot inside a shard: the live snapshot plus its private
+/// One tenant's slot in the registry: the live snapshot plus its private
 /// version counter (which survives a withdraw, so a re-publish keeps
 /// the tenant's version history monotonic).
 #[derive(Debug, Default)]
@@ -202,11 +191,10 @@ struct TenantSlot {
 }
 
 /// Multi-tenant registry: many independently versioned models behind
-/// per-shard locks, each model addressed by [`ModelId`].
+/// one lock, each model addressed by [`ModelId`].
 ///
-/// Lock granularity is the shard, not the registry: a publish for one
-/// tenant only blocks lookups whose ids hash to the same shard. Each
-/// tenant has its own monotonic version sequence starting at 1.
+/// Each tenant has its own monotonic version sequence starting at 1.
+/// The name is historical: the map was once split over hashed shards.
 ///
 /// # Examples
 ///
@@ -236,7 +224,7 @@ struct TenantSlot {
 /// ```
 #[derive(Debug)]
 pub struct ShardedRegistry {
-    shards: Vec<RwLock<HashMap<ModelId, TenantSlot>>>,
+    tenants: RwLock<HashMap<ModelId, TenantSlot>>,
 }
 
 impl Default for ShardedRegistry {
@@ -246,9 +234,11 @@ impl Default for ShardedRegistry {
 }
 
 impl ShardedRegistry {
-    /// Creates an empty registry with [`DEFAULT_SHARDS`] shards.
+    /// Creates an empty registry.
     pub fn new() -> Self {
-        Self::with_shards(DEFAULT_SHARDS).expect("default shard count is non-zero")
+        Self {
+            tenants: RwLock::new(HashMap::new()),
+        }
     }
 
     /// Creates a registry with `model` already published as version 1
@@ -277,29 +267,6 @@ impl ShardedRegistry {
         let registry = Self::new();
         registry.publish(&ModelId::default(), model, label)?;
         Ok(registry)
-    }
-
-    /// Creates an empty registry with an explicit shard count.
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::InvalidConfig`] when `shards` is zero.
-    pub fn with_shards(shards: usize) -> Result<Self, ServeError> {
-        if shards == 0 {
-            return Err(ServeError::InvalidConfig("shards must be ≥ 1".into()));
-        }
-        Ok(Self {
-            shards: (0..shards).map(|_| RwLock::new(HashMap::new())).collect(),
-        })
-    }
-
-    /// Number of shards the id space is spread over.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    fn shard(&self, id: &ModelId) -> &RwLock<HashMap<ModelId, TenantSlot>> {
-        &self.shards[id.shard_index(self.shards.len())]
     }
 
     /// Publishes `model` as `id`'s new live version and returns the
@@ -338,11 +305,11 @@ impl ShardedRegistry {
     ) -> Result<(u64, Vec<usize>), ServeError> {
         model.refresh_norms();
         let untrained = validate_norms(&model, allow_partial)?;
-        // Compile outside the shard lock: plan compilation pins both
-        // scoring snapshots and runs the one-time kernel selection.
+        // Compile outside the lock: plan compilation pins both scoring
+        // snapshots and runs the one-time kernel selection.
         let plan = ModelPlan::compile(&model);
-        let mut shard = self.shard(id).write().expect("shard lock poisoned");
-        let slot = shard.entry(id.clone()).or_default();
+        let mut tenants = self.tenants.write().expect("registry lock poisoned");
+        let slot = tenants.entry(id.clone()).or_default();
         slot.next_version += 1;
         let version = slot.next_version;
         slot.live = Some(Arc::new(ServedModel {
@@ -358,9 +325,9 @@ impl ShardedRegistry {
     /// published (or has withdrawn). The [`Arc`] stays valid across
     /// later publishes.
     pub fn get(&self, id: &ModelId) -> Option<Arc<ServedModel>> {
-        self.shard(id)
+        self.tenants
             .read()
-            .expect("shard lock poisoned")
+            .expect("registry lock poisoned")
             .get(id)
             .and_then(|slot| slot.live.clone())
     }
@@ -374,25 +341,21 @@ impl ShardedRegistry {
     /// live, if any. Other tenants are untouched; `id`'s version counter
     /// survives, so a later publish continues the sequence.
     pub fn withdraw(&self, id: &ModelId) -> Option<Arc<ServedModel>> {
-        self.shard(id)
+        self.tenants
             .write()
-            .expect("shard lock poisoned")
+            .expect("registry lock poisoned")
             .get_mut(id)
             .and_then(|slot| slot.live.take())
     }
 
     /// Number of tenants with a live model.
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| {
-                s.read()
-                    .expect("shard lock poisoned")
-                    .values()
-                    .filter(|slot| slot.live.is_some())
-                    .count()
-            })
-            .sum()
+        self.tenants
+            .read()
+            .expect("registry lock poisoned")
+            .values()
+            .filter(|slot| slot.live.is_some())
+            .count()
     }
 
     /// True when no tenant has a live model.
@@ -403,16 +366,12 @@ impl ShardedRegistry {
     /// Ids of every tenant with a live model, sorted for determinism.
     pub fn model_ids(&self) -> Vec<ModelId> {
         let mut ids: Vec<ModelId> = self
-            .shards
+            .tenants
+            .read()
+            .expect("registry lock poisoned")
             .iter()
-            .flat_map(|s| {
-                s.read()
-                    .expect("shard lock poisoned")
-                    .iter()
-                    .filter(|(_, slot)| slot.live.is_some())
-                    .map(|(id, _)| id.clone())
-                    .collect::<Vec<_>>()
-            })
+            .filter(|(_, slot)| slot.live.is_some())
+            .map(|(id, _)| id.clone())
             .collect();
         ids.sort_unstable();
         ids
@@ -626,7 +585,7 @@ mod tests {
 
     #[test]
     fn sharded_tenants_version_independently() {
-        let r = ShardedRegistry::with_shards(4).unwrap();
+        let r = ShardedRegistry::new();
         let (a, b) = (ModelId::new("a"), ModelId::new("b"));
         assert!(r.is_empty());
         assert_eq!(r.publish(&a, trained(16, 1.0), "a1").unwrap(), 1);
@@ -674,23 +633,6 @@ mod tests {
             .publish_partial(&id, partially_trained(8), "partial")
             .unwrap();
         assert_eq!((v, untrained), (1, vec![1, 2]));
-    }
-
-    #[test]
-    fn zero_shards_is_rejected() {
-        assert!(matches!(
-            ShardedRegistry::with_shards(0),
-            Err(ServeError::InvalidConfig(_))
-        ));
-    }
-
-    #[test]
-    fn every_id_maps_to_a_valid_shard() {
-        for shards in [1usize, 2, 7, 16] {
-            for name in ["a", "tenant-b", "Δ-tenant", "x/y/z", ""] {
-                assert!(ModelId::new(name).shard_index(shards) < shards);
-            }
-        }
     }
 
     #[test]

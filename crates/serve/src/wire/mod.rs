@@ -12,7 +12,7 @@
 //!   §III-C transfer saving).
 //! * [`WireServer`] — [`WireConfig::reactors`] epoll-backed readiness
 //!   loops (the vendored `polling` layer; nonblocking `std::net`)
-//!   sharing one listener, pinning each connection to `fd % reactors`,
+//!   sharing one listener, each keeping the connections it accepts,
 //!   decoding request frames into the engine's unified
 //!   [`crate::SubmitHandle::submit`] surface and streaming response
 //!   frames back as completions arrive. Queue backpressure — global

@@ -4,12 +4,13 @@
 //! [`WireConfig::reactors`] reactor threads, each driving its own
 //! epoll-backed [`polling::Poller`] (the vendored readiness layer —
 //! there is no async runtime in this workspace). Every reactor
-//! registers the shared listener, so accepts are sharded: whichever
-//! reactor wakes first wins the `accept` race, and the new connection
-//! is pinned to reactor `fd % reactors` (handed off through that
-//! reactor's inbox when another reactor accepted it). A connection
-//! lives on one reactor for its whole life — no cross-thread state
-//! beyond the handoff and completion inboxes.
+//! registers the shared listener, level-triggered, and accepts at most
+//! one connection per wake: whichever reactor wakes first wins the
+//! `accept` race and keeps that connection for its whole life. A burst
+//! of connects leaves the listener readable, so every idle reactor
+//! wakes again and takes its own share — connections spread without
+//! ever moving between threads. The only cross-thread state is each
+//! reactor's completion inbox.
 //!
 //! The heavy work never runs on a reactor. Packed frames are submitted
 //! to the engine with a completion callback that posts the finished
@@ -67,7 +68,6 @@ use std::collections::HashMap;
 use std::fmt;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
@@ -89,8 +89,8 @@ use privehd_core::telemetry::{Stage, TraceCtx};
 /// Tuning knobs of the wire front-end.
 #[derive(Debug, Clone)]
 pub struct WireConfig {
-    /// Reactor (readiness loop) threads. Each runs its own poller;
-    /// connections are pinned to `fd % reactors`. Defaults to the
+    /// Reactor (readiness loop) threads. Each runs its own poller and
+    /// keeps the connections it accepts. Defaults to the
     /// machine's available parallelism, capped at 4 — wire reactors
     /// shovel bytes and should leave cores for the engine's workers.
     pub reactors: usize,
@@ -317,48 +317,27 @@ struct Completion {
     outcome: Result<ServedPrediction, ServeError>,
 }
 
-/// A reactor's mailbox for work arriving from other threads: sockets
-/// handed off by the accepting reactor, and completions posted by
-/// engine workers / pool jobs. Paired with a `Poller::notify` wake.
-#[derive(Default)]
-struct Inbox {
-    conns: Vec<TcpStream>,
-    completions: Vec<Completion>,
-}
-
-/// Another reactor, as seen from the accepting one: enough to hand a
-/// socket over and wake it.
-struct ReactorPeer {
-    poller: Arc<Poller>,
-    inbox: Arc<Mutex<Inbox>>,
-}
+/// A reactor's mailbox for completions posted by engine workers and
+/// pool jobs. Paired with a `Poller::notify` wake.
+type Inbox = Mutex<Vec<Completion>>;
 
 /// Everything one reactor thread needs, bundled so helpers take one
-/// argument (and so no per-reactor `Vec` indexing is ever needed —
-/// `peers.get(target)` is total).
+/// argument.
 struct ReactorCtx {
-    index: usize,
     listener: Arc<TcpListener>,
     handle: SubmitHandle,
     config: Arc<WireConfig>,
     metrics: Arc<WireMetrics>,
     conn_count: Arc<AtomicUsize>,
     poller: Arc<Poller>,
-    inbox: Arc<Mutex<Inbox>>,
-    peers: Vec<ReactorPeer>,
+    inbox: Arc<Inbox>,
 }
 
-/// Locks a reactor inbox, recovering from poisoning: an inbox holds
-/// plain `Vec`s whose partial state is safe to continue with, and a
+/// Locks a reactor inbox, recovering from poisoning: an inbox holds a
+/// plain `Vec` whose partial state is safe to continue with, and a
 /// poisoned inbox must not wedge every completion behind it.
-fn lock_inbox(inbox: &Mutex<Inbox>) -> MutexGuard<'_, Inbox> {
+fn lock_inbox(inbox: &Inbox) -> MutexGuard<'_, Vec<Completion>> {
     inbox.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Posts a completion into `inbox` and wakes its reactor.
-fn push_completion(inbox: &Mutex<Inbox>, poller: &Poller, completion: Completion) {
-    lock_inbox(inbox).completions.push(completion);
-    let _ = poller.notify();
 }
 
 /// The `Event` expressing interest `want` (readable, writable) for
@@ -378,9 +357,7 @@ pub struct WireServer {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
     metrics: Arc<WireMetrics>,
-    conn_count: Arc<AtomicUsize>,
     pollers: Vec<Arc<Poller>>,
-    inboxes: Vec<Arc<Mutex<Inbox>>>,
     threads: Vec<JoinHandle<()>>,
 }
 
@@ -454,33 +431,21 @@ impl WireServer {
         let conn_count = Arc::new(AtomicUsize::new(0));
         let n = config.reactors;
         let mut pollers = Vec::with_capacity(n);
-        let mut inboxes = Vec::with_capacity(n);
         for _ in 0..n {
             let poller = Poller::new()
                 .map_err(|e| ServeError::Transport(format!("poller setup failed: {e}")))?;
             pollers.push(Arc::new(poller));
-            inboxes.push(Arc::new(Mutex::new(Inbox::default())));
         }
         let mut threads = Vec::with_capacity(n);
-        for (index, (poller, inbox)) in pollers.iter().zip(&inboxes).enumerate() {
-            let peers = pollers
-                .iter()
-                .zip(&inboxes)
-                .map(|(p, i)| ReactorPeer {
-                    poller: Arc::clone(p),
-                    inbox: Arc::clone(i),
-                })
-                .collect();
+        for (index, poller) in pollers.iter().enumerate() {
             let rctx = ReactorCtx {
-                index,
                 listener: Arc::clone(&listener),
                 handle: handle.clone(),
                 config: Arc::clone(&config),
                 metrics: Arc::clone(&metrics),
                 conn_count: Arc::clone(&conn_count),
                 poller: Arc::clone(poller),
-                inbox: Arc::clone(inbox),
-                peers,
+                inbox: Arc::new(Mutex::new(Vec::new())),
             };
             let stop_flag = Arc::clone(&stop);
             let spawned = std::thread::Builder::new()
@@ -506,9 +471,7 @@ impl WireServer {
             addr: local,
             stop,
             metrics,
-            conn_count,
             pollers,
-            inboxes,
             threads,
         })
     }
@@ -549,20 +512,6 @@ impl WireServer {
             // internal bug, never on peer input, and must not be
             // swallowed into a clean-looking report.
             t.join().expect("wire reactor thread panicked");
-        }
-        // A socket accepted on reactor A and handed to reactor B can
-        // land in B's inbox after B exited its loop: release those
-        // slots here so the open-connection gauge ends at zero.
-        for inbox in &self.inboxes {
-            let mut guard = lock_inbox(inbox);
-            for stream in guard.conns.drain(..) {
-                drop(stream);
-                // Relaxed: plain admission counter; no data is
-                // published through it.
-                self.conn_count.fetch_sub(1, Ordering::Relaxed);
-                self.metrics.on_conn_close();
-            }
-            guard.completions.clear();
         }
     }
 }
@@ -611,7 +560,7 @@ const READ_CHUNK: usize = 16 * 1024;
 const CLOSE_LINGER: Duration = Duration::from_secs(1);
 
 // analyze: nonblocking-region — every Conn method runs on a reactor
-// thread; one blocking call here stalls every peer pinned to it.
+// thread; one blocking call here stalls every peer on that reactor.
 impl Conn {
     fn new(stream: TcpStream, key: usize) -> Self {
         Self {
@@ -886,7 +835,8 @@ impl Conn {
             // the engine as-is — no to_dense() on this path, by
             // contract (a conversion-count test pins it).
             QueryPayload::Packed(hv) => {
-                let on_done = completion_callback(rctx, self.key, request_id, ctx);
+                let on_done =
+                    completion_callback(&rctx.inbox, &rctx.poller, self.key, request_id, ctx);
                 match handle.submit_with(&model, QueryVec::Packed(hv), ctx, on_done) {
                     Ok(()) => {
                         self.in_flight += 1;
@@ -1072,29 +1022,27 @@ impl Conn {
 }
 // analyze: end-nonblocking-region
 
-/// Builds the completion callback a submission hands to the engine:
-/// it posts the outcome into the owning reactor's inbox under the
-/// connection's key and wakes that reactor's poller. Runs on an engine
-/// worker thread.
+/// Builds the completion callback for one request: it posts the
+/// outcome into the owning reactor's inbox under the connection's key
+/// and wakes that reactor's poller. Runs on an engine worker thread
+/// (submitted requests) or a pool thread (raw-path failures).
 fn completion_callback(
-    rctx: &ReactorCtx,
+    inbox: &Arc<Inbox>,
+    poller: &Arc<Poller>,
     key: usize,
     request_id: u64,
     ctx: TraceCtx,
 ) -> Box<dyn Fn(Result<ServedPrediction, ServeError>) + Send + Sync> {
-    let inbox = Arc::clone(&rctx.inbox);
-    let poller = Arc::clone(&rctx.poller);
+    let inbox = Arc::clone(inbox);
+    let poller = Arc::clone(poller);
     Box::new(move |outcome| {
-        push_completion(
-            &inbox,
-            &poller,
-            Completion {
-                key,
-                request_id,
-                ctx,
-                outcome,
-            },
-        );
+        lock_inbox(&inbox).push(Completion {
+            key,
+            request_id,
+            ctx,
+            outcome,
+        });
+        let _ = poller.notify();
     })
 }
 
@@ -1106,7 +1054,7 @@ fn completion_callback(
 fn encode_and_submit(
     handle: &SubmitHandle,
     config: &WireConfig,
-    inbox: &Arc<Mutex<Inbox>>,
+    inbox: &Arc<Inbox>,
     poller: &Arc<Poller>,
     key: usize,
     request_id: u64,
@@ -1115,18 +1063,7 @@ fn encode_and_submit(
     model: ModelId,
     features: Vec<f64>,
 ) {
-    let fail = |outcome: Result<ServedPrediction, ServeError>| {
-        push_completion(
-            inbox,
-            poller,
-            Completion {
-                key,
-                request_id,
-                ctx,
-                outcome,
-            },
-        );
-    };
+    let fail = |outcome| completion_callback(inbox, poller, key, request_id, ctx)(outcome);
     // The reactor verified this entry exists before offloading; the
     // config Arc is immutable, so a miss here means a bug — answer it
     // as a fault rather than unwrapping on a pool thread.
@@ -1150,22 +1087,7 @@ fn encode_and_submit(
     handle
         .tracer()
         .record(ctx, Stage::Encode, encode_start, encode_end);
-    let on_done = {
-        let inbox = Arc::clone(inbox);
-        let poller = Arc::clone(poller);
-        Box::new(move |outcome| {
-            push_completion(
-                &inbox,
-                &poller,
-                Completion {
-                    key,
-                    request_id,
-                    ctx,
-                    outcome,
-                },
-            );
-        })
-    };
+    let on_done = completion_callback(inbox, poller, key, request_id, ctx);
     match handle.submit_with(&model, QueryVec::Dense(query), ctx, on_done) {
         Ok(()) => {
             let admitted_at = Instant::now();
@@ -1206,10 +1128,10 @@ fn wire_prediction(served: ServedPrediction) -> WirePrediction {
 }
 
 /// One reactor's readiness loop: wait, accept (shared listener race),
-/// absorb handoffs and completions from the inbox, pump every pinned
-/// connection, reap the dead, drain on stop.
+/// apply the completions in the inbox, pump every connection, reap the
+/// dead, drain on stop.
 // analyze: nonblocking-region — the loop body multiplexes all peers
-// pinned to this reactor; only the poller wait below may block.
+// on this reactor; only the poller wait below may block.
 fn run_reactor(rctx: ReactorCtx, stop: &AtomicBool) {
     let mut conns: HashMap<usize, Conn> = HashMap::new();
     let mut next_key: usize = LISTEN_KEY + 1;
@@ -1217,7 +1139,8 @@ fn run_reactor(rctx: ReactorCtx, stop: &AtomicBool) {
     let mut drain_deadline: Option<Instant> = None;
     // Every reactor registers the shared nonblocking listener: accept
     // readiness wakes them all, the accept() winner takes the socket,
-    // the losers see WouldBlock (level-triggered, so nothing is lost).
+    // the losers see WouldBlock (level-triggered, so a connection still
+    // pending wakes them again).
     let _ = rctx
         .poller
         .add(&*rctx.listener, Event::readable(LISTEN_KEY));
@@ -1234,27 +1157,10 @@ fn run_reactor(rctx: ReactorCtx, stop: &AtomicBool) {
         let timeout = Some(rctx.config.poll_interval);
         let _ = rctx.poller.wait(&mut events, timeout);
         if !draining {
-            accept_new(&mut conns, &mut next_key, &rctx);
+            accept_one(&mut conns, &mut next_key, &rctx);
         }
-        // Absorb the inbox: sockets handed off by other reactors, and
-        // completions posted by engine workers / pool jobs.
-        let (handed_off, completions) = {
-            let mut guard = lock_inbox(&rctx.inbox);
-            (
-                std::mem::take(&mut guard.conns),
-                std::mem::take(&mut guard.completions),
-            )
-        };
-        for stream in handed_off {
-            if draining {
-                // Accepted before the stop, handed off after: close it
-                // instead of starting work we are draining away.
-                drop(stream);
-                release_conn_slot(&rctx);
-                continue;
-            }
-            register_conn(stream, &mut conns, &mut next_key, &rctx);
-        }
+        // Completions posted by engine workers / pool jobs.
+        let completions = std::mem::take(&mut *lock_inbox(&rctx.inbox));
         for completion in completions {
             // A completion for a connection that died while its
             // request was in flight has nowhere to go; drop it (keys
@@ -1285,55 +1191,43 @@ fn run_reactor(rctx: ReactorCtx, stop: &AtomicBool) {
     }
 }
 
-/// Accepts every pending connection on the shared listener: claim a
-/// slot from the global cap, pin by `fd % reactors`, hand off to the
-/// owning reactor (or register locally).
-fn accept_new(conns: &mut HashMap<usize, Conn>, next_key: &mut usize, rctx: &ReactorCtx) {
-    loop {
+/// Accepts at most one pending connection on the shared listener and
+/// keeps it on this reactor, after claiming a slot from the global
+/// cap. Taking one per wake is what spreads a burst of connects: the
+/// level-triggered listener stays readable while the backlog lasts, so
+/// every idle reactor wakes again and takes its own.
+fn accept_one(conns: &mut HashMap<usize, Conn>, next_key: &mut usize, rctx: &ReactorCtx) {
+    let stream = loop {
         match rctx.listener.accept() {
-            Ok((stream, _peer)) => {
-                // Claim a connection slot optimistically; undo on
-                // refusal. Relaxed: plain admission counter racing
-                // only against itself — no data is published through
-                // it, and a transient over-claim just refuses one
-                // accept early.
-                let prev = rctx.conn_count.fetch_add(1, Ordering::Relaxed);
-                if prev >= rctx.config.max_connections {
-                    // Relaxed: see the claim above.
-                    rctx.conn_count.fetch_sub(1, Ordering::Relaxed);
-                    rctx.metrics.on_refuse();
-                    drop(stream);
-                    continue;
-                }
-                let _ = stream.set_nodelay(true);
-                if stream.set_nonblocking(true).is_err() {
-                    // Relaxed: see the claim above.
-                    rctx.conn_count.fetch_sub(1, Ordering::Relaxed);
-                    drop(stream);
-                    continue;
-                }
-                rctx.metrics.on_accept();
-                rctx.metrics.on_conn_open();
-                let target = stream.as_raw_fd() as usize % rctx.peers.len();
-                if target == rctx.index {
-                    register_conn(stream, conns, next_key, rctx);
-                } else if let Some(peer) = rctx.peers.get(target) {
-                    lock_inbox(&peer.inbox).conns.push(stream);
-                    let _ = peer.poller.notify();
-                } else {
-                    // Unreachable (target < peers.len() by the modulo)
-                    // but total: keep the connection here.
-                    register_conn(stream, conns, next_key, rctx);
-                }
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+            Ok((stream, _peer)) => break stream,
             Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-            Err(_) => break,
+            // WouldBlock: nothing pending, or another reactor won.
+            Err(_) => return,
         }
+    };
+    // Claim a connection slot optimistically; undo on refusal.
+    // Relaxed: plain admission counter racing only against itself — no
+    // data is published through it, and a transient over-claim just
+    // refuses one accept early.
+    let prev = rctx.conn_count.fetch_add(1, Ordering::Relaxed);
+    if prev >= rctx.config.max_connections {
+        // Relaxed: see the claim above.
+        rctx.conn_count.fetch_sub(1, Ordering::Relaxed);
+        rctx.metrics.on_refuse();
+        return;
     }
+    let _ = stream.set_nodelay(true);
+    if stream.set_nonblocking(true).is_err() {
+        // Relaxed: see the claim above.
+        rctx.conn_count.fetch_sub(1, Ordering::Relaxed);
+        return;
+    }
+    rctx.metrics.on_accept();
+    rctx.metrics.on_conn_open();
+    register_conn(stream, conns, next_key, rctx);
 }
 
-/// Registers a freshly pinned connection with this reactor's poller
+/// Registers a freshly accepted connection with this reactor's poller
 /// under the next never-reused key.
 fn register_conn(
     stream: TcpStream,

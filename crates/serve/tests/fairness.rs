@@ -4,8 +4,8 @@
 //! the shared queue capacity the flooder can hold, and the
 //! deficit-round-robin scheduler bounds how long a victim request can
 //! wait behind flooder backlog. Also exercises the multi-reactor
-//! ingress path (sharded accept, fd-hash pinning, cross-reactor
-//! completion handoff) with many concurrent connections.
+//! ingress path (shared accept across reactors, completions posted
+//! back from engine workers) with many concurrent connections.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -186,8 +186,8 @@ fn wire_flood_bounds_victim_p99_and_completes() {
 }
 
 /// Multi-reactor ingress correctness: with 3 reactors and a dozen
-/// concurrent connections, every connection lands on some reactor via
-/// the fd-hash handoff, every request completes with the right answer,
+/// concurrent connections, every connection lands on the reactor that
+/// accepted it, every request completes with the right answer,
 /// and shutdown drains cleanly (open-connection gauge back to zero).
 #[test]
 fn multi_reactor_ingress_serves_all_connections_and_drains() {

@@ -18,9 +18,9 @@
 //!   (LUT-6 majority, saturated adder trees) and platform performance
 //!   models.
 //! * [`privehd_serve`] — concurrent batched inference serving: a
-//!   versioned hot-swappable model registry (single-model, or sharded
-//!   multi-tenant with per-model batch routing), an adaptive
-//!   micro-batching queue with a worker pool, the edge-side
+//!   versioned hot-swappable model registry (single-model, or
+//!   multi-tenant with per-model batch routing), per-tenant queues
+//!   drained by work-conserving batching workers, the edge-side
 //!   encode-and-obfuscate client pipeline, and serving metrics
 //!   (throughput, latency quantiles, batch-size distribution, global
 //!   and per model).

@@ -2,7 +2,7 @@
 //! the whole PrivHD story — encode ∘ obfuscate on the client, frame,
 //! socket, per-model batch routing, predict, response frame.
 //!
-//! The flagship test publishes two tenant models behind one sharded
+//! The flagship test publishes two tenant models behind one multi-tenant
 //! engine and drives them with concurrent `WireClient`s sending mixed
 //! packed (client-obfuscated) and raw-features (server-side edge)
 //! frames, while a malformed-frame injector hammers the same server —
